@@ -14,6 +14,12 @@ Temporary-domain lines are stamped once at install time and never on
 hit, so eviction order inside the temporary domain follows install
 order.  Invalid ways are always preferred over evicting live data, and
 ties are broken by the lowest way index so behaviour is deterministic.
+
+Per access, the host cost does not grow with associativity: every set
+keeps a tag index (tag -> way of each valid way) so a lookup is one dict
+probe, and the victim for a fill is chosen in one pass over the ways
+(the first invalid way of the domain, else the lowest (recency, index)).
+The full eviction order is built only where a caller walks it.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class CacheGeometry:
         return tag * self.num_sets + set_index
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLineMeta:
     tag: int = 0
     valid: bool = False
@@ -106,9 +112,14 @@ class CacheSet:
     The initial labelling puts the last cap_t ways in the temporary
     domain; every way starts invalid.  Domain counts only ever change
     through explicit relabel calls.
+
+    `index` maps the tag of every valid way to that way.  Only
+    `install` and `invalidate` write a way's tag or valid bit, and both
+    keep the index current, so callers may read it but never write it.
+    A tag is resident in at most one way of a set.
     """
 
-    __slots__ = ("ways",)
+    __slots__ = ("ways", "index")
 
     def __init__(self, num_ways: int, cap_t: int) -> None:
         if not 0 <= cap_t < num_ways:
@@ -116,16 +127,17 @@ class CacheSet:
         self.ways = [CacheLineMeta() for _ in range(num_ways)]
         for meta in self.ways[num_ways - cap_t:]:
             meta.domain = Domain.TEMPORARY
+        self.index: dict[int, int] = {}
 
     def count(self, domain: Domain) -> int:
         return sum(1 for m in self.ways if m.domain is domain)
 
     def lookup(self, tag: int) -> tuple[int, Domain] | None:
         """Return (way index, domain) of the valid way holding tag."""
-        for idx, meta in enumerate(self.ways):
-            if meta.valid and meta.tag == tag:
-                return idx, meta.domain
-        return None
+        way = self.index.get(tag)
+        if way is None:
+            return None
+        return way, self.ways[way].domain
 
     def victim_order(self, domain: Domain) -> list[int]:
         """Way indices of the domain in eviction preference order:
@@ -140,7 +152,22 @@ class CacheSet:
         return invalid + valid
 
     def select_victim(self, domain: Domain) -> int:
-        return self.victim_order(domain)[0]
+        """First entry of victim_order(domain), found in one pass: the
+        lowest-index invalid way of the domain, else the valid way with
+        the lowest (recency, index)."""
+        best = -1
+        best_recency = 0
+        for idx, meta in enumerate(self.ways):
+            if meta.domain is not domain:
+                continue
+            if not meta.valid:
+                return idx
+            if best < 0 or meta.recency < best_recency:
+                best = idx
+                best_recency = meta.recency
+        if best < 0:
+            raise DomainEmpty(f"set has no {domain.value}-labelled way")
+        return best
 
     def touch(self, way: int, stamp: int) -> None:
         meta = self.ways[way]
@@ -150,7 +177,14 @@ class CacheSet:
 
     def install(self, way: int, tag: int, domain: Domain, owner_mask: int,
                 coh_state: CohState, stamp: int) -> None:
+        index = self.index
+        holder = index.get(tag, way)
+        if holder != way:
+            raise ValueError(f"tag {tag:#x} is already resident in way {holder}")
         meta = self.ways[way]
+        if meta.valid:
+            del index[meta.tag]
+        index[tag] = way
         meta.tag = tag
         meta.valid = True
         meta.domain = domain
@@ -161,6 +195,8 @@ class CacheSet:
     def invalidate(self, way: int) -> None:
         """Drop the contents of a way. The domain label is untouched."""
         meta = self.ways[way]
+        if meta.valid:
+            del self.index[meta.tag]
         meta.valid = False
         meta.owner_mask = 0
         meta.coh_state = CohState.INVALID

@@ -20,6 +20,13 @@ that single-thread runs are bit-identical whether or not the ownership
 protection is switched on; the `protected` flag only decides whether
 non-owners are charged emulated misses and whether eviction is gated
 on the mask draining.
+
+Every line lookup here is one probe of the set's tag index (see
+:class:`.cache.CacheSet`), with the set index and tag taken from the
+line by a mask and a shift, and every fill picks its victim with the
+set's single-pass ``select_victim``; only ``reconfigure`` and the
+ownership scan walk a full ``victim_order``.  A step therefore costs the
+same host time whatever the associativity.
 """
 
 from __future__ import annotations
@@ -94,6 +101,9 @@ class CacheLevel:
         self.protected = protected
         self.ownership = ThreadOwnership(num_threads)
         self.sets = [CacheSet(geometry.ways, cap_t) for _ in range(geometry.num_sets)]
+        # num_sets is a power of two: set index and tag are a mask and a shift
+        self._set_mask = geometry.num_sets - 1
+        self._tag_shift = geometry.num_sets.bit_length() - 1
         self._clock = 0
 
     # -- bookkeeping -------------------------------------------------
@@ -104,32 +114,31 @@ class CacheLevel:
 
     def lookup(self, line: int) -> tuple[int, int] | None:
         """(set_index, way) of a valid copy of `line`, or None."""
-        si = self.geometry.set_index(line)
-        found = self.sets[si].lookup(self.geometry.tag(line))
-        if found is None:
+        si = line & self._set_mask
+        way = self.sets[si].index.get(line >> self._tag_shift)
+        if way is None:
             return None
-        return si, found[0]
+        return si, way
 
     def resident_domain(self, line: int) -> Domain | None:
-        loc = self.lookup(line)
-        if loc is None:
+        cset = self.sets[line & self._set_mask]
+        way = cset.index.get(line >> self._tag_shift)
+        if way is None:
             return None
-        si, way = loc
-        return self.sets[si].ways[way].domain
+        return cset.ways[way].domain
 
     def coh_state_of(self, line: int) -> CohState:
-        loc = self.lookup(line)
-        if loc is None:
+        cset = self.sets[line & self._set_mask]
+        way = cset.index.get(line >> self._tag_shift)
+        if way is None:
             return CohState.INVALID
-        si, way = loc
-        return self.sets[si].ways[way].coh_state
+        return cset.ways[way].coh_state
 
     def set_coh_state(self, line: int, state: CohState) -> None:
-        loc = self.lookup(line)
-        if loc is None:
-            return
-        si, way = loc
-        self.sets[si].ways[way].coh_state = state
+        cset = self.sets[line & self._set_mask]
+        way = cset.index.get(line >> self._tag_shift)
+        if way is not None:
+            cset.ways[way].coh_state = state
 
     # -- access paths ------------------------------------------------
 
@@ -149,12 +158,11 @@ class CacheLevel:
         caller charges full miss latency) and the thread becomes an
         owner, so the charge happens at most once per residency.
         """
-        si = self.geometry.set_index(line)
+        si = line & self._set_mask
         cset = self.sets[si]
-        found = cset.lookup(self.geometry.tag(line))
-        if found is not None:
-            way, domain = found
-            if domain is Domain.PERSISTENT:
+        way = cset.index.get(line >> self._tag_shift)
+        if way is not None:
+            if cset.ways[way].domain is Domain.PERSISTENT:
                 # no touch: even replacement-state updates wait for the
                 # commit notification, or a squashed hit would leave a trace
                 return LevelAccess(AccessOutcome.HIT, way=way)
@@ -187,7 +195,7 @@ class CacheLevel:
             evicted = self._evict_way(si, way)
             cset.install(
                 way,
-                self.geometry.tag(line),
+                line >> self._tag_shift,
                 Domain.TEMPORARY,
                 self.ownership.bit(thread),
                 coh_state,
@@ -206,12 +214,11 @@ class CacheLevel:
     ) -> LevelAccess:
         """Non-speculative access: fills are persistent, temporary hits
         are promoted on the spot (the access itself is the commit)."""
-        si = self.geometry.set_index(line)
+        si = line & self._set_mask
         cset = self.sets[si]
-        found = cset.lookup(self.geometry.tag(line))
-        if found is not None:
-            way, domain = found
-            if domain is Domain.PERSISTENT:
+        way = cset.index.get(line >> self._tag_shift)
+        if way is not None:
+            if cset.ways[way].domain is Domain.PERSISTENT:
                 cset.touch(way, self._stamp())
                 return LevelAccess(AccessOutcome.HIT, way=way)
             evicted = self._promote(si, way)
@@ -226,7 +233,8 @@ class CacheLevel:
         other path already brought the line in, or ("blocked", None).
         """
         cset = self.sets[pending.set_index]
-        if cset.lookup(self.geometry.tag(pending.line)) is not None:
+        tag = pending.line >> self._tag_shift
+        if tag in cset.index:
             return "present", None
         way = self.ownership.find_evictable(cset, pending.thread)
         if way is None:
@@ -235,7 +243,7 @@ class CacheLevel:
         coh = CohState.MODIFIED if pending.is_store else CohState.SHARED
         cset.install(
             way,
-            self.geometry.tag(pending.line),
+            tag,
             Domain.TEMPORARY,
             self.ownership.bit(pending.thread),
             coh,
@@ -258,12 +266,11 @@ class CacheLevel:
         (c) line is absent (lost to contention or a suspended fill):
             re-install it persistently.
         """
-        si = self.geometry.set_index(line)
+        si = line & self._set_mask
         cset = self.sets[si]
-        found = cset.lookup(self.geometry.tag(line))
-        if found is not None:
-            way, domain = found
-            if domain is Domain.TEMPORARY:
+        way = cset.index.get(line >> self._tag_shift)
+        if way is not None:
+            if cset.ways[way].domain is Domain.TEMPORARY:
                 evicted = self._promote(si, way)
                 return CommitResult(CommitCase.PROMOTED, way=way, evicted_line=evicted)
             cset.touch(way, self._stamp())
@@ -279,15 +286,13 @@ class CacheLevel:
         mask drains (or for a sole owner) the way is invalidated.  The
         domain label stays put.  Returns True if the line was dropped.
         """
-        si = self.geometry.set_index(line)
-        cset = self.sets[si]
-        found = cset.lookup(self.geometry.tag(line))
-        if found is None:
-            return False
-        way, domain = found
-        if domain is Domain.PERSISTENT:
+        cset = self.sets[line & self._set_mask]
+        way = cset.index.get(line >> self._tag_shift)
+        if way is None:
             return False
         meta = cset.ways[way]
+        if meta.domain is Domain.PERSISTENT:
+            return False
         bit = self.ownership.bit(thread)
         if meta.owner_mask == bit:
             cset.invalidate(way)
@@ -299,17 +304,17 @@ class CacheLevel:
     # -- management --------------------------------------------------
 
     def invalidate_line(self, line: int) -> bool:
-        loc = self.lookup(line)
-        if loc is None:
+        cset = self.sets[line & self._set_mask]
+        way = cset.index.get(line >> self._tag_shift)
+        if way is None:
             return False
-        si, way = loc
-        self.sets[si].invalidate(way)
+        cset.invalidate(way)
         return True
 
     def install_prefetch(self, line: int, thread: int, coh_state: CohState) -> LevelAccess:
         """Prefetch fill: persistent, no recency refresh on a hit."""
-        si = self.geometry.set_index(line)
-        if self.sets[si].lookup(self.geometry.tag(line)) is not None:
+        si = line & self._set_mask
+        if line >> self._tag_shift in self.sets[si].index:
             return LevelAccess(AccessOutcome.HIT)
         way, evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
         return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
@@ -351,7 +356,7 @@ class CacheLevel:
         meta = cset.ways[way]
         if not meta.valid:
             return None
-        line = self.geometry.line_from(set_index, meta.tag)
+        line = meta.tag << self._tag_shift | set_index
         cset.invalidate(way)
         return line
 
@@ -367,7 +372,7 @@ class CacheLevel:
         way = cset.select_victim(domain)
         evicted = self._evict_way(set_index, way)
         mask = self.ownership.bit(thread) if domain is Domain.TEMPORARY else 0
-        cset.install(way, self.geometry.tag(line), domain, mask, coh_state, self._stamp())
+        cset.install(way, line >> self._tag_shift, domain, mask, coh_state, self._stamp())
         return way, evicted
 
     def _promote(self, set_index: int, way: int) -> int | None:

@@ -539,6 +539,8 @@ class Engine:
             else:
                 self.report.counters["deferred_dropped"] += 1
         self._drain_nfb()
+        self.report.counters["nfb_merged"] = self.nfb.merged
+        self.report.counters["nfb_forced_out"] = self.nfb.forced_out
 
     # -- suspended install retries -------------------------------------------
 

@@ -6,7 +6,8 @@ Two pieces live here:
 
  * :class:`WindowRegistry` — per-window, program-ordered log of what
    the window did (accesses, stalled management ops, deferred TLB
-   fills, delayed coherence transitions).  Resolution walks this log.
+   fills, delayed coherence transitions).  Resolution walks this log;
+   the registry holds only the logs of open windows.
  * :class:`NotificationBuffer` — a small merge buffer between the core
    and the caches.  Notifications for the same (window, line, level,
    kind) merge; distinct windows never merge.  On overflow the oldest
@@ -124,40 +125,44 @@ class WindowRecord:
 
 
 class WindowRegistry:
+    """The open windows by id.
+
+    A window's record leaves the registry when it closes; the caller
+    that closed it keeps the returned record for as long as it walks
+    the log.  Only the ids of closed windows are remembered, so naming
+    one again still raises WindowClosed (never-opened ids raise
+    UnknownWindow), and a closed id may be opened afresh.
+    """
+
     def __init__(self) -> None:
         self._windows: dict[int, WindowRecord] = {}
+        self._closed: set[int] = set()
 
     def open(self, window_id: int, thread: int) -> WindowRecord:
-        prior = self._windows.get(window_id)
-        if prior is not None and prior.is_open:
+        if window_id in self._windows:
             raise WindowClosed(f"window {window_id} is already open")
+        self._closed.discard(window_id)
         rec = WindowRecord(window_id=window_id, thread=thread)
         self._windows[window_id] = rec
         return rec
 
-    def get(self, window_id: int) -> WindowRecord:
+    def get_open(self, window_id: int) -> WindowRecord:
         rec = self._windows.get(window_id)
         if rec is None:
+            if window_id in self._closed:
+                raise WindowClosed(f"window {window_id} is closed")
             raise UnknownWindow(f"window {window_id} was never opened")
-        return rec
-
-    def get_open(self, window_id: int) -> WindowRecord:
-        rec = self.get(window_id)
-        if not rec.is_open:
-            raise WindowClosed(f"window {window_id} is closed")
         return rec
 
     def close(self, window_id: int) -> WindowRecord:
         rec = self.get_open(window_id)
+        del self._windows[window_id]
+        self._closed.add(window_id)
         rec.is_open = False
         return rec
 
     def open_windows(self, thread: int | None = None) -> list[WindowRecord]:
-        return [
-            w
-            for w in self._windows.values()
-            if w.is_open and (thread is None or w.thread == thread)
-        ]
+        return [w for w in self._windows.values() if thread is None or w.thread == thread]
 
     def any_open(self) -> bool:
-        return any(w.is_open for w in self._windows.values())
+        return bool(self._windows)

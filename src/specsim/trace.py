@@ -117,64 +117,62 @@ class TraceEvent:
         return f"{k.value} t{self.thread} {self.addr:#x}{tail}"
 
 
-def _int_field(tok: str, prefix: str, what: str, lineno: int) -> int:
-    raw = tok[len(prefix):] if tok.lower().startswith(prefix) else tok
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise TraceParseError(f"line {lineno}: bad {what} {tok!r}") from None
+# What each event kind accepts: the fewest and most tokens (a line with
+# the most adds an optional trailing window), the usage text, and the
+# token positions of the thread, the address and a required window
+# (0: the kind has no such field).
+_GRAMMAR: dict[str, tuple[EventKind, int, int, str, int, int, int]] = {
+    "OPEN": (EventKind.OPEN, 3, 3, "OPEN <thread> <window>", 1, 0, 2),
+    "COMMIT": (EventKind.COMMIT, 3, 3, "COMMIT <thread> <window>", 1, 0, 2),
+    "SQUASH": (EventKind.SQUASH, 3, 3, "SQUASH <thread> <window>", 1, 0, 2),
+    "LOAD": (EventKind.LOAD, 3, 4, "LOAD <thread> <addr> [<window>]", 1, 2, 0),
+    "STORE": (EventKind.STORE, 3, 4, "STORE <thread> <addr> [<window>]", 1, 2, 0),
+    "IFETCH": (EventKind.IFETCH, 3, 4, "IFETCH <thread> <addr> [<window>]", 1, 2, 0),
+    "PREFETCH": (EventKind.PREFETCH, 3, 3, "PREFETCH <thread> <addr>", 1, 2, 0),
+    "MEASURE": (EventKind.MEASURE, 3, 3, "MEASURE <thread> <addr>", 1, 2, 0),
+    "MGMT": (EventKind.MGMT, 4, 5, "MGMT <op> <thread> <addr> [<window>]", 2, 3, 0),
+    "TLBMISS_LOAD": (EventKind.TLBMISS_LOAD, 4, 4, "TLBMISS_LOAD <thread> <addr> <window>", 1, 2, 3),
+    "BARRIER": (EventKind.BARRIER, 1, 1, "BARRIER", 0, 0, 0),
+}
 
 
 def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
-    text = line.split("#", 1)[0].strip()
-    if not text:
+    toks = line.split("#", 1)[0].split()
+    if not toks:
         return None
-    toks = text.split()
-    name = toks[0].upper()
-    try:
-        kind = EventKind(name)
-    except ValueError:
-        raise TraceParseError(f"line {lineno}: unknown event {toks[0]!r}") from None
-
-    def thread(i: int) -> int:
-        return _int_field(toks[i], "t", "thread", lineno)
-
-    def window(i: int) -> int:
-        return _int_field(toks[i], "w", "window", lineno)
-
-    def addr(i: int) -> int:
-        return _int_field(toks[i], "", "address", lineno)
-
-    def need(n: int, usage: str) -> None:
-        if len(toks) != n:
-            raise TraceParseError(f"line {lineno}: usage: {usage}")
-
-    if kind is EventKind.BARRIER:
-        need(1, "BARRIER")
-        return TraceEvent.barrier()
-    if kind in (EventKind.OPEN, EventKind.COMMIT, EventKind.SQUASH):
-        need(3, f"{name} <thread> <window>")
-        return TraceEvent(kind, thread=thread(1), window=window(2))
-    if kind in (EventKind.MEASURE, EventKind.PREFETCH):
-        need(3, f"{name} <thread> <addr>")
-        return TraceEvent(kind, thread=thread(1), addr=addr(2))
+    spec = _GRAMMAR.get(toks[0].upper())
+    if spec is None:
+        raise TraceParseError(f"line {lineno}: unknown event {toks[0]!r}")
+    kind, least, most, usage, t_pos, a_pos, w_pos = spec
+    n = len(toks)
+    if not least <= n <= most:
+        raise TraceParseError(f"line {lineno}: usage: {usage}")
+    op = None
     if kind is EventKind.MGMT:
-        if len(toks) not in (4, 5):
-            raise TraceParseError(f"line {lineno}: usage: MGMT <op> <thread> <addr> [<window>]")
         op = toks[1].lower()
         if op not in MGMT_OPS:
             raise TraceParseError(f"line {lineno}: unknown MGMT op {toks[1]!r}")
-        win = window(4) if len(toks) == 5 else None
-        return TraceEvent(kind, thread=thread(2), addr=addr(3), window=win, mgmt_op=op)
-    if kind is EventKind.TLBMISS_LOAD:
-        need(4, "TLBMISS_LOAD <thread> <addr> <window>")
-        return TraceEvent(kind, thread=thread(1), addr=addr(2), window=window(3))
-    # LOAD / STORE / IFETCH
-    if len(toks) not in (3, 4):
-        raise TraceParseError(f"line {lineno}: usage: {name} <thread> <addr> [<window>]")
-    win = window(3) if len(toks) == 4 else None
-    return TraceEvent(kind, thread=thread(1), addr=addr(2), window=win)
+    thread = 0
+    addr = window = None
+    # a line with several bad fields reports the first one parsed: an
+    # optional trailing window, then thread, address, required window
+    what, tok = "window", toks[-1]
+    try:
+        if n > least:
+            window = int(tok[1:] if tok[0] in "wW" else tok, 0)
+        if t_pos:
+            what, tok = "thread", toks[t_pos]
+            thread = int(tok[1:] if tok[0] in "tT" else tok, 0)
+        if a_pos:
+            what, tok = "address", toks[a_pos]
+            addr = int(tok, 0)
+        if w_pos:
+            what, tok = "window", toks[w_pos]
+            window = int(tok[1:] if tok[0] in "wW" else tok, 0)
+    except ValueError:
+        raise TraceParseError(f"line {lineno}: bad {what} {tok!r}") from None
+    return TraceEvent(kind, thread, addr, window, op)
 
 
 def parse_trace(text: str) -> list[TraceEvent]:

@@ -122,3 +122,56 @@ def test_victim_order_is_domain_permutation_with_invalid_prefix(ops):
         flags = [cset.ways[i].valid for i in order]
         # no valid way may precede an invalid one
         assert flags == sorted(flags)
+
+
+def _scan_lookup(cset, tag):
+    """Linear-scan reference for the tag index."""
+    for idx, meta in enumerate(cset.ways):
+        if meta.valid and meta.tag == tag:
+            return idx, meta.domain
+    return None
+
+
+def test_install_rejects_a_tag_resident_in_another_way():
+    cset = CacheSet(4, 1)
+    cset.install(0, 5, Domain.PERSISTENT, 0, CohState.SHARED, 1)
+    with pytest.raises(ValueError):
+        cset.install(1, 5, Domain.PERSISTENT, 0, CohState.SHARED, 2)
+    # refilling the way that holds the tag is allowed
+    cset.install(0, 5, Domain.PERSISTENT, 0, CohState.EXCLUSIVE, 3)
+    assert cset.lookup(5) == (0, Domain.PERSISTENT)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["install", "install", "touch", "invalidate", "relabel"]),
+                          st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=0, max_value=7),
+                          st.sampled_from([Domain.TEMPORARY, Domain.PERSISTENT])),
+                max_size=60))
+@settings(max_examples=300)
+def test_tag_index_and_victim_choice_match_linear_scans(ops):
+    """After any sequence of set operations, lookup agrees with a scan of
+    the ways and select_victim(d) is the head of victim_order(d)."""
+    cset = CacheSet(4, 1)
+    for op, way, tag, domain in ops:
+        stamp = tag // 3  # few distinct stamps, so recency ties happen
+        if op == "install":
+            holder = _scan_lookup(cset, tag)
+            if holder is not None and holder[0] != way:
+                with pytest.raises(ValueError):
+                    cset.install(way, tag, domain, 0, CohState.SHARED, stamp)
+            else:
+                cset.install(way, tag, domain, 0, CohState.SHARED, stamp)
+        elif op == "touch" and cset.ways[way].valid:
+            cset.touch(way, stamp)
+        elif op == "invalidate":
+            cset.invalidate(way)
+        elif op == "relabel":
+            cset.relabel(way, domain)
+        for t in range(8):
+            assert cset.lookup(t) == _scan_lookup(cset, t)
+        for d in (Domain.TEMPORARY, Domain.PERSISTENT):
+            if cset.count(d) == 0:
+                with pytest.raises(DomainEmpty):
+                    cset.select_victim(d)
+            else:
+                assert cset.select_victim(d) == cset.victim_order(d)[0]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsim.cache import CacheGeometry, CohState, Domain, LevelId
 from specsim.domains import (
@@ -269,3 +271,52 @@ def test_install_prefetch_is_idempotent_and_persistent():
     assert lv.resident_domain(64) is Domain.PERSISTENT
     again = lv.install_prefetch(64, 0, CohState.SHARED)
     assert again.outcome is AccessOutcome.HIT
+
+
+@given(st.lists(st.tuples(st.sampled_from(["inflight", "committed", "commit", "squash",
+                                           "invalidate", "prefetch", "retry", "reconfigure"]),
+                          st.integers(min_value=0, max_value=11),
+                          st.integers(min_value=0, max_value=1)),
+                max_size=50))
+@settings(max_examples=200)
+def test_level_lookups_match_a_linear_scan(ops):
+    """Whatever a level goes through, its line lookups agree with a scan
+    of the set's ways and every set's victim choice is the head of its
+    victim order."""
+    lv = make_level(num_sets=2, ways=4, cap_t=2, protected=True)
+    parked = []
+    for op, i, thread in ops:
+        line = 64 + i
+        if op == "inflight":
+            res = lv.access_inflight(line, thread, 1)
+            if res.suspended is not None:
+                parked.append(res.suspended)
+        elif op == "committed":
+            lv.access_committed(line, thread)
+        elif op == "commit":
+            lv.apply_commit(line, thread)
+        elif op == "squash":
+            lv.apply_squash(line, thread)
+        elif op == "invalidate":
+            lv.invalidate_line(line)
+        elif op == "prefetch":
+            lv.install_prefetch(line, thread, CohState.SHARED)
+        elif op == "retry" and parked:
+            lv.try_install_suspended(parked.pop(0))
+        elif op == "reconfigure":
+            # reconfiguring needs quiescence: parked fills died with their windows
+            parked.clear()
+            lv.reconfigure(i % 4)
+        for ln in range(64, 76):
+            si = lv.geometry.set_index(ln)
+            tag = lv.geometry.tag(ln)
+            ways = lv.sets[si].ways
+            hits = [w for w, m in enumerate(ways) if m.valid and m.tag == tag]
+            assert len(hits) <= 1
+            assert lv.lookup(ln) == ((si, hits[0]) if hits else None)
+            assert lv.resident_domain(ln) == (ways[hits[0]].domain if hits else None)
+            assert lv.coh_state_of(ln) is (ways[hits[0]].coh_state if hits else CohState.INVALID)
+        for cset in lv.sets:
+            for d in (Domain.TEMPORARY, Domain.PERSISTENT):
+                if cset.count(d):
+                    assert cset.select_victim(d) == cset.victim_order(d)[0]

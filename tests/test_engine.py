@@ -227,6 +227,20 @@ def test_nfb_overflow_forwards_early_but_loses_nothing(cfg):
         assert eng.l2.resident_domain(a // LINE_SIZE) is Domain.PERSISTENT
 
 
+def test_squash_refreshes_nfb_counters():
+    # a run whose last resolution is a squash must report the buffer's
+    # totals, not the ones copied at the last commit
+    eng = Engine(small_config(nfb_capacity=1))
+    eng.step(TraceEvent.open(0, 1))
+    for i in range(3):
+        eng.step(TraceEvent.load(0, 0x40000 + i * LINE_SIZE, 1))
+    eng.step(TraceEvent.squash(0, 1))
+    ctr = eng.report.counters
+    assert eng.nfb.forced_out > 0
+    assert "nfb_merged" in ctr and "nfb_forced_out" in ctr
+    assert (ctr["nfb_merged"], ctr["nfb_forced_out"]) == (eng.nfb.merged, eng.nfb.forced_out)
+
+
 def test_suspension_and_retry_after_foreign_commit(cfg):
     eng = Engine(cfg)
     si = 4

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from specsim.notifier import (
     Notification,
     NotificationBuffer,
     NotifKind,
+    UnknownWindow,
     WindowClosed,
     WindowRegistry,
 )
@@ -131,3 +135,25 @@ def test_open_windows_filters_by_thread():
     for wid in (1, 2, 3):
         reg.close(wid)
     assert not reg.any_open()
+
+
+def test_closed_windows_are_released():
+    """Closing drops the window's record; only the errors for its id
+    remain, so a long trace holds just the windows still open."""
+    reg = WindowRegistry()
+    reg.open(-1, thread=1)
+    closed = []
+    for wid in range(10_000):
+        reg.open(wid, thread=0)
+        closed.append(weakref.ref(reg.close(wid)))
+    gc.collect()
+    assert all(ref() is None for ref in closed)
+    assert [w.window_id for w in reg.open_windows()] == [-1]
+    with pytest.raises(WindowClosed):
+        reg.get_open(9_999)
+    with pytest.raises(UnknownWindow):
+        reg.get_open(10_000)
+    reg.close(-1)
+    assert not reg.any_open()
+    reg.open(5, thread=1)
+    assert reg.get_open(5).thread == 1
