@@ -15,11 +15,13 @@ hit, so eviction order inside the temporary domain follows install
 order.  Invalid ways are always preferred over evicting live data, and
 ties are broken by the lowest way index so behaviour is deterministic.
 
-Per access, the host cost does not grow with associativity: every set
-keeps a tag index (tag -> way of each valid way) so a lookup is one dict
-probe, and the victim for a fill is chosen in one pass over the ways
+A lookup costs the same host time whatever the associativity: every set
+keeps a tag index (tag -> way of each valid way), so it is one dict
+probe.  The victim for a fill is chosen in one pass over the ways
 (the first invalid way of the domain, else the lowest (recency, index)).
-The full eviction order is built only where a caller walks it.
+The full eviction order is built only where a caller walks it.  Ways
+that have never held a line share one read-only metadata object per
+domain, so building a hierarchy allocates no per-way objects.
 """
 
 from __future__ import annotations
@@ -106,12 +108,34 @@ class CacheLineMeta:
                 self.coh_state.value, self.recency)
 
 
+class _UnusedWay(CacheLineMeta):
+    """Metadata of a way that has never held a line.  One shared
+    instance per domain stands for every such way; it is read-only, and
+    `install` and `relabel` replace it rather than write to it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise TypeError("metadata of an unused way is shared and read-only")
+
+
+def _unused_way(domain: Domain) -> CacheLineMeta:
+    meta = CacheLineMeta(domain=domain)
+    meta.__class__ = _UnusedWay  # from here on, writes raise
+    return meta
+
+
+_UNUSED_P = _unused_way(Domain.PERSISTENT)
+_UNUSED_T = _unused_way(Domain.TEMPORARY)
+
+
 class CacheSet:
     """One set: a fixed list of ways plus domain-scoped operations.
 
     The initial labelling puts the last cap_t ways in the temporary
-    domain; every way starts invalid.  Domain counts only ever change
-    through explicit relabel calls.
+    domain; every way starts invalid, with the shared metadata of an
+    unused way.  Domain counts only ever change through explicit
+    relabel calls.
 
     `index` maps the tag of every valid way to that way.  Only
     `install` and `invalidate` write a way's tag or valid bit, and both
@@ -124,9 +148,7 @@ class CacheSet:
     def __init__(self, num_ways: int, cap_t: int) -> None:
         if not 0 <= cap_t < num_ways:
             raise ValueError(f"cap_t must be in [0, ways), got {cap_t}/{num_ways}")
-        self.ways = [CacheLineMeta() for _ in range(num_ways)]
-        for meta in self.ways[num_ways - cap_t:]:
-            meta.domain = Domain.TEMPORARY
+        self.ways = [_UNUSED_P] * (num_ways - cap_t) + [_UNUSED_T] * cap_t
         self.index: dict[int, int] = {}
 
     def count(self, domain: Domain) -> int:
@@ -184,6 +206,8 @@ class CacheSet:
         meta = self.ways[way]
         if meta.valid:
             del index[meta.tag]
+        elif type(meta) is _UnusedWay:
+            meta = self.ways[way] = CacheLineMeta()
         index[tag] = way
         meta.tag = tag
         meta.valid = True
@@ -195,14 +219,19 @@ class CacheSet:
     def invalidate(self, way: int) -> None:
         """Drop the contents of a way. The domain label is untouched."""
         meta = self.ways[way]
-        if meta.valid:
-            del self.index[meta.tag]
+        if not meta.valid:
+            return  # an invalid way already has no owners and state I
+        del self.index[meta.tag]
         meta.valid = False
         meta.owner_mask = 0
         meta.coh_state = CohState.INVALID
 
     def relabel(self, way: int, domain: Domain) -> None:
-        self.ways[way].domain = domain
+        meta = self.ways[way]
+        if type(meta) is _UnusedWay:
+            self.ways[way] = _UNUSED_T if domain is Domain.TEMPORARY else _UNUSED_P
+        else:
+            meta.domain = domain
 
     def snapshot(self) -> tuple:
         return tuple(m.snapshot() for m in self.ways)

@@ -25,8 +25,8 @@ Every line lookup here is one probe of the set's tag index (see
 :class:`.cache.CacheSet`), with the set index and tag taken from the
 line by a mask and a shift, and every fill picks its victim with the
 set's single-pass ``select_victim``; only ``reconfigure`` and the
-ownership scan walk a full ``victim_order``.  A step therefore costs the
-same host time whatever the associativity.
+ownership scan walk a full ``victim_order``.  Only fills, not lookups,
+grow with the associativity.
 """
 
 from __future__ import annotations
@@ -336,7 +336,9 @@ class CacheLevel:
         for si, cset in enumerate(self.sets):
             if delta > 0:
                 for way in cset.victim_order(Domain.PERSISTENT)[:delta]:
-                    cset.ways[way].owner_mask = 0
+                    meta = cset.ways[way]
+                    if meta.valid:
+                        meta.owner_mask = 0
                     cset.relabel(way, Domain.TEMPORARY)
             elif delta < 0:
                 for way in cset.victim_order(Domain.TEMPORARY)[: -delta]:

@@ -45,6 +45,19 @@ def test_initial_labelling_puts_cap_t_ways_in_temporary():
     assert not any(m.valid for m in cset.ways)
 
 
+def test_unused_ways_share_read_only_metadata():
+    a, b = CacheSet(4, 1), CacheSet(4, 1)
+    with pytest.raises(TypeError):
+        a.ways[0].owner_mask = 1
+    a.install(0, 9, Domain.PERSISTENT, 0, CohState.EXCLUSIVE, 1)
+    a.relabel(1, Domain.TEMPORARY)
+    a.invalidate(2)
+    assert [m.snapshot() for m in b.ways] == [
+        (0, False, "P", 0, "I", 0)] * 3 + [(0, False, "T", 0, "I", 0)]
+    assert a.ways[0].snapshot() == (9, True, "P", 0, "E", 1)
+    assert a.count(Domain.TEMPORARY) == 2
+
+
 def test_cap_t_must_leave_a_persistent_way():
     with pytest.raises(ValueError):
         CacheSet(8, 8)
