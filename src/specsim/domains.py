@@ -64,7 +64,6 @@ class LevelAccess:
     """What one level did with one access."""
 
     outcome: AccessOutcome
-    way: int | None = None
     evicted_line: int | None = None
     suspended: SuspendedInstall | None = None
     promoted: bool = False
@@ -73,7 +72,6 @@ class LevelAccess:
 @dataclass
 class CommitResult:
     case: CommitCase
-    way: int
     evicted_line: int | None = None
 
 
@@ -148,7 +146,6 @@ class CacheLevel:
         thread: int,
         window: int,
         coh_state: CohState = CohState.SHARED,
-        is_ifetch: bool = False,
         is_store: bool = False,
     ) -> LevelAccess:
         """Speculative access: hits observe, misses fill a temporary way.
@@ -165,18 +162,18 @@ class CacheLevel:
             if cset.ways[way].domain is Domain.PERSISTENT:
                 # no touch: even replacement-state updates wait for the
                 # commit notification, or a squashed hit would leave a trace
-                return LevelAccess(AccessOutcome.HIT, way=way)
+                return LevelAccess(AccessOutcome.HIT)
             if self.protected:
                 res = self.ownership.check_and_acquire(cset, way, thread)
                 if res is AcquireResult.ACQUIRED_EMULATED_MISS:
-                    return LevelAccess(AccessOutcome.EMULATED_MISS, way=way)
+                    return LevelAccess(AccessOutcome.EMULATED_MISS)
             # temporary recency is install order: no touch on hit
-            return LevelAccess(AccessOutcome.HIT, way=way)
+            return LevelAccess(AccessOutcome.HIT)
 
         if self.cap_t == 0:
             # no temporary ways here: fall back to plain persistent fills
-            way, evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
-            return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
+            evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+            return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
         if self.protected:
             way = self.ownership.find_evictable(cset, thread)
@@ -188,7 +185,6 @@ class CacheLevel:
                         window=window,
                         line=line,
                         set_index=si,
-                        is_ifetch=is_ifetch,
                         is_store=is_store,
                     ),
                 )
@@ -201,10 +197,10 @@ class CacheLevel:
                 coh_state,
                 self._stamp(),
             )
-            return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
+            return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
-        way, evicted = self._install(si, line, Domain.TEMPORARY, thread, coh_state)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
+        evicted = self._install(si, line, Domain.TEMPORARY, thread, coh_state)
+        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def access_committed(
         self,
@@ -220,11 +216,11 @@ class CacheLevel:
         if way is not None:
             if cset.ways[way].domain is Domain.PERSISTENT:
                 cset.touch(way, self._stamp())
-                return LevelAccess(AccessOutcome.HIT, way=way)
+                return LevelAccess(AccessOutcome.HIT)
             evicted = self._promote(si, way)
-            return LevelAccess(AccessOutcome.HIT, way=way, evicted_line=evicted, promoted=True)
-        way, evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
+            return LevelAccess(AccessOutcome.HIT, evicted_line=evicted, promoted=True)
+        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def try_install_suspended(self, pending: SuspendedInstall) -> tuple[str, int | None]:
         """Retry a parked temporary fill.
@@ -272,11 +268,11 @@ class CacheLevel:
         if way is not None:
             if cset.ways[way].domain is Domain.TEMPORARY:
                 evicted = self._promote(si, way)
-                return CommitResult(CommitCase.PROMOTED, way=way, evicted_line=evicted)
+                return CommitResult(CommitCase.PROMOTED, evicted_line=evicted)
             cset.touch(way, self._stamp())
-            return CommitResult(CommitCase.TOUCHED, way=way)
-        way, evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
-        return CommitResult(CommitCase.REINSTALLED, way=way, evicted_line=evicted)
+            return CommitResult(CommitCase.TOUCHED)
+        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        return CommitResult(CommitCase.REINSTALLED, evicted_line=evicted)
 
     def apply_squash(self, line: int, thread: int) -> bool:
         """Squash notification: drop the thread's claim on the line.
@@ -316,8 +312,8 @@ class CacheLevel:
         si = line & self._set_mask
         if line >> self._tag_shift in self.sets[si].index:
             return LevelAccess(AccessOutcome.HIT)
-        way, evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, way=way, evicted_line=evicted)
+        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def reconfigure(self, new_cap_t: int) -> ReconfigResult:
         """Relabel ways so every set has exactly `new_cap_t` temporary ways.
@@ -369,13 +365,15 @@ class CacheLevel:
         domain: Domain,
         thread: int,
         coh_state: CohState,
-    ) -> tuple[int, int | None]:
+    ) -> int | None:
+        """Fill `line` into the set's victim way of `domain`; returns the
+        line it evicted, if any."""
         cset = self.sets[set_index]
         way = cset.select_victim(domain)
         evicted = self._evict_way(set_index, way)
         mask = self.ownership.bit(thread) if domain is Domain.TEMPORARY else 0
         cset.install(way, line >> self._tag_shift, domain, mask, coh_state, self._stamp())
-        return way, evicted
+        return evicted
 
     def _promote(self, set_index: int, way: int) -> int | None:
         """Swap the temporary line at `way` into the persistent domain."""

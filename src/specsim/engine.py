@@ -39,6 +39,7 @@ from .notifier import (
     Notification,
     NotificationBuffer,
     NotifKind,
+    WindowRecord,
     WindowRegistry,
 )
 from .ownership import SuspendedInstall
@@ -67,12 +68,6 @@ class SimReport:
     observations: list[TimingObservation] = field(default_factory=list)
     counters: Counter = field(default_factory=Counter)
 
-    def classes(self) -> list[LatencyClass]:
-        return [o.klass for o in self.observations]
-
-    def latencies(self) -> list[int]:
-        return [o.latency for o in self.observations]
-
     def summary(self) -> str:
         parts = [f"mode={self.mode}", f"observations={len(self.observations)}"]
         for key in sorted(self.counters):
@@ -83,7 +78,6 @@ class SimReport:
 @dataclass
 class _Pending:
     level: CacheLevel
-    level_id: LevelId
     core: int
     pend: SuspendedInstall
 
@@ -158,11 +152,24 @@ class Engine:
         if self.l1i[core].lookup(line) is None and self.l1d[core].lookup(line) is None:
             self.directory.remove_sharer(line, core)
 
+    def _invalidate_l1_copies(self, line: int, cores: int) -> None:
+        """Drop `line` from the L1I and L1D of every core in the mask
+        `cores` and clear their sharer bits.  Every valid L1 line has
+        its sharer bit, so the directory's sharer mask names every core
+        that can hold a copy."""
+        core = 0
+        while cores:
+            if cores & 1:
+                self.l1i[core].invalidate_line(line)
+                self.l1d[core].invalidate_line(line)
+                self.directory.remove_sharer(line, core)
+            cores >>= 1
+            core += 1
+
     def _back_invalidate(self, line: int) -> None:
-        """Inclusive L2 replacement: every L1 copy dies with the L2 line."""
-        for core in range(self.cfg.cores):
-            self.l1i[core].invalidate_line(line)
-            self.l1d[core].invalidate_line(line)
+        """Drop every L1 copy and the directory entry of a line that is
+        leaving the L2 (inclusion: the L1 copies die with it)."""
+        self._invalidate_l1_copies(line, self.directory.sharers(line))
         self.directory.drop(line)
 
     def _handle_l1_eviction(self, evicted: int | None, core: int) -> None:
@@ -177,11 +184,9 @@ class Engine:
     # -- speculative access path -----------------------------------------
 
     def _inflight_access(
-        self, thread: int, addr: int, window_id: int, is_store: bool, is_ifetch: bool
+        self, rec: WindowRecord, addr: int, is_store: bool, is_ifetch: bool
     ) -> int:
-        rec = self.windows.get_open(window_id)
-        if rec.thread != thread:
-            raise ValueError(f"window {window_id} belongs to thread {rec.thread}, not {thread}")
+        thread, window_id = rec.thread, rec.window_id
         line = self.l2.geometry.line_of(addr)
         core = self.core_of(thread)
         l1 = self._l1_for(thread, is_ifetch)
@@ -206,20 +211,14 @@ class Engine:
             return self._full_miss_latency(core, line)
 
         latency = self.cfg.latency.l1_hit
-        # the recorded footprint always spans both levels, not just the
-        # ones this lookup consulted: the hierarchy is inclusive, so a
-        # commit must be able to repair an L2 copy torn down by a sibling
-        # window's squash even when the access itself hit at L1, and a
-        # squash must purge the L2 copy for the same reason
-        levels = [l1.geometry.level_id, LevelId.L2]
-        r1 = l1.access_inflight(line, thread, window_id, grant, is_ifetch, is_store)
+        r1 = l1.access_inflight(line, thread, window_id, grant, is_store)
         terminal_hit = r1.outcome is AccessOutcome.HIT
         if r1.outcome is AccessOutcome.MISS_INSTALLED:
             self._handle_l1_eviction(r1.evicted_line, core)
             self.directory.note_l1_fill(line, core, grant)
         elif r1.outcome is AccessOutcome.MISS_BYPASSED:
             ctr["suspended_installs"] += 1
-            self._pending.append(_Pending(l1, l1.geometry.level_id, core, r1.suspended))
+            self._pending.append(_Pending(l1, core, r1.suspended))
         elif r1.outcome is AccessOutcome.EMULATED_MISS:
             ctr["emulated_misses"] += 1
 
@@ -227,7 +226,7 @@ class Engine:
             ctr["l1_hits"] += 1
         else:
             latency += self._l2_latency(core, line)
-            r2 = self.l2.access_inflight(line, thread, window_id, grant, is_ifetch, is_store)
+            r2 = self.l2.access_inflight(line, thread, window_id, grant, is_store)
             if r2.outcome is AccessOutcome.HIT:
                 ctr["l2_hits"] += 1
             else:
@@ -238,7 +237,7 @@ class Engine:
                     self.directory.note_l2_fill(line, grant)
                 elif r2.outcome is AccessOutcome.MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
-                    self._pending.append(_Pending(self.l2, LevelId.L2, core, r2.suspended))
+                    self._pending.append(_Pending(self.l2, core, r2.suspended))
                 elif r2.outcome is AccessOutcome.EMULATED_MISS:
                     ctr["emulated_misses"] += 1
 
@@ -247,7 +246,12 @@ class Engine:
             self.l2.set_coh_state(line, CohState.MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
-        rec.record("access", AccessRecord(line, levels, is_store, is_ifetch))
+        # the recorded footprint (its L1, then the L2) always spans both
+        # levels, not just the ones this lookup consulted: the hierarchy
+        # is inclusive, so a commit must be able to repair an L2 copy torn
+        # down by a sibling window's squash even when the access itself
+        # hit at L1, and a squash must purge the L2 copy for the same reason
+        rec.record("access", AccessRecord(line, l1.geometry.level_id, is_store))
         ctr["inflight_accesses"] += 1
         return latency
 
@@ -267,15 +271,39 @@ class Engine:
         l2_dom = self.l2.resident_domain(line)
         if l2_dom is Domain.PERSISTENT:
             return
-        dropped = l2_dom is not None or self.directory.entry(line) is not None
-        for core in range(self.cfg.cores):
-            dropped |= self.l1i[core].invalidate_line(line)
-            dropped |= self.l1d[core].invalidate_line(line)
+        # an L1 copy implies a directory entry, so no entry and no L2
+        # copy means nothing to drop
+        if l2_dom is None and self.directory.entry(line) is None:
+            return
         if l2_dom is not None:
             self.l2.invalidate_line(line)
-        if dropped:
-            self.directory.drop(line)
-            self.report.counters["spec_purges"] += 1
+        self._back_invalidate(line)
+        self.report.counters["spec_purges"] += 1
+
+    def _committed_grant(self, line: int, core: int, is_store: bool) -> tuple[CohState, bool]:
+        """Plain-MESI grant for a committed access or a commit-time fill.
+
+        A store shoots down the L1 copies of every other core, a load
+        recalls a remote E/M owner down to S; both are counted.  Returns
+        the granted state and whether the requester waited on remote
+        copies (which costs it a full miss).
+        """
+        ctr = self.report.counters
+        if is_store:
+            sgrant = self.directory.grant_store(line, core, False, False)
+            if sgrant.invalidate_cores:
+                self._invalidate_l1_copies(line, sgrant.invalidate_cores)
+                ctr["rfo_invalidations"] += sgrant.invalidate_cores.bit_count()
+            return sgrant.grant, sgrant.recall
+        lgrant = self.directory.grant_load(line, core, False)
+        if lgrant.recall:
+            owner = self.directory.entry(line).owner
+            self.l1i[owner].set_coh_state(line, CohState.SHARED)
+            self.l1d[owner].set_coh_state(line, CohState.SHARED)
+            self.l2.set_coh_state(line, CohState.SHARED)
+            self.directory.downgrade(line)
+            ctr["owner_recalls"] += 1
+        return lgrant.grant, lgrant.recall
 
     def _committed_line_access(
         self,
@@ -288,36 +316,12 @@ class Engine:
         core = self.core_of(thread)
         l1 = self._l1_for(thread, is_ifetch)
         ctr = self.report.counters
-        forced: int | None = None
         self._purge_speculative_copies(line)
-
-        if is_store:
-            sgrant = self.directory.grant_store(line, core, False, False)
-            grant = sgrant.grant
-            if sgrant.invalidate_cores:
-                for victim in range(self.cfg.cores):
-                    if sgrant.invalidate_cores & (1 << victim):
-                        self.l1i[victim].invalidate_line(line)
-                        self.l1d[victim].invalidate_line(line)
-                        self.directory.remove_sharer(line, victim)
-                        ctr["rfo_invalidations"] += 1
-            if sgrant.recall:
-                forced = self._full_miss_latency(core, line)
-        else:
-            lgrant = self.directory.grant_load(line, core, False)
-            grant = lgrant.grant
-            if spec_fill and grant is CohState.EXCLUSIVE:
-                # a speculative access never earns exclusivity, even on
-                # a hierarchy that installs it right away
-                grant = CohState.SHARED
-            if lgrant.recall:
-                owner = self.directory.entry(line).owner
-                self.l1i[owner].set_coh_state(line, CohState.SHARED)
-                self.l1d[owner].set_coh_state(line, CohState.SHARED)
-                self.l2.set_coh_state(line, CohState.SHARED)
-                self.directory.downgrade(line)
-                forced = self._full_miss_latency(core, line)
-                ctr["owner_recalls"] += 1
+        grant, recalled = self._committed_grant(line, core, is_store)
+        if spec_fill and grant is CohState.EXCLUSIVE:
+            # a speculative access never earns exclusivity, even on
+            # a hierarchy that installs it right away
+            grant = CohState.SHARED
 
         latency = self.cfg.latency.l1_hit
         r1 = l1.access_committed(line, thread, grant)
@@ -348,7 +352,7 @@ class Engine:
         ctr["committed_accesses"] += 1
         if self.cfg.prefetch and not is_ifetch:
             self._prefetch_line(line + 1, thread)
-        return forced if forced is not None else latency
+        return self._full_miss_latency(core, line) if recalled else latency
 
     def _committed_access(
         self, thread: int, addr: int, is_store: bool, is_ifetch: bool, spec_fill: bool = False
@@ -358,14 +362,6 @@ class Engine:
         )
 
     # -- management & prefetch ----------------------------------------------
-
-    def _mgmt_invalidate(self, line: int) -> None:
-        for core in range(self.cfg.cores):
-            self.l1i[core].invalidate_line(line)
-            self.l1d[core].invalidate_line(line)
-        self.l2.invalidate_line(line)
-        self.directory.drop(line)
-        self.report.counters["lines_flushed"] += 1
 
     def _prefetch_line(self, line: int, thread: int) -> None:
         core = self.core_of(thread)
@@ -383,51 +379,12 @@ class Engine:
         if ev.mgmt_op == "prefetch":
             self._prefetch_line(line, ev.thread)
         else:  # flush / invd: no dirty data is modelled, both invalidate
-            self._mgmt_invalidate(line)
+            self.l2.invalidate_line(line)
+            self._back_invalidate(line)
+            self.report.counters["lines_flushed"] += 1
         self.report.counters["mgmt_ops"] += 1
 
     # -- window resolution -----------------------------------------------
-
-    def _purge_pending(self, window_id: int) -> None:
-        self._pending = [p for p in self._pending if p.pend.window != window_id]
-
-    def _commit_fill_state(self, note: Notification, core: int) -> CohState:
-        """Coherence state for a commit-time re-install (line absent)."""
-        if note.is_store:
-            sgrant = self.directory.grant_store(note.line, core, False, False)
-            if sgrant.invalidate_cores:
-                for victim in range(self.cfg.cores):
-                    if sgrant.invalidate_cores & (1 << victim):
-                        self.l1i[victim].invalidate_line(note.line)
-                        self.l1d[victim].invalidate_line(note.line)
-                        self.directory.remove_sharer(note.line, victim)
-            return CohState.MODIFIED
-        lgrant = self.directory.grant_load(note.line, core, False)
-        if lgrant.recall:
-            owner = self.directory.entry(note.line).owner
-            self.l1i[owner].set_coh_state(note.line, CohState.SHARED)
-            self.l1d[owner].set_coh_state(note.line, CohState.SHARED)
-            self.l2.set_coh_state(note.line, CohState.SHARED)
-            self.directory.downgrade(note.line)
-        if lgrant.grant is CohState.EXCLUSIVE:
-            # keep re-installs at S so a committed line looks the same
-            # whether it was promoted in place or fetched back
-            return CohState.SHARED
-        return lgrant.grant
-
-    def _commit_store_state(self, line: int, core: int, level: CacheLevel) -> None:
-        """Re-assert store ownership for a committing write: shoot down
-        any foreign copies and mark the delivered level modified."""
-        sgrant = self.directory.grant_store(line, core, False, False)
-        if sgrant.invalidate_cores:
-            for victim in range(self.cfg.cores):
-                if sgrant.invalidate_cores & (1 << victim):
-                    self.l1i[victim].invalidate_line(line)
-                    self.l1d[victim].invalidate_line(line)
-                    self.directory.remove_sharer(line, victim)
-                    self.report.counters["rfo_invalidations"] += 1
-        level.set_coh_state(line, CohState.MODIFIED)
-        self.directory.upgrade_for_store(line, core)
 
     def _deliver(self, note: Notification) -> None:
         level = self._level_of(note.level, note.thread)
@@ -453,7 +410,12 @@ class Engine:
 
         coh = CohState.EXCLUSIVE
         if level.lookup(note.line) is None:
-            coh = self._commit_fill_state(note, core)
+            # a commit-time re-install is fetched like a committed access,
+            # but kept at S so a committed line looks the same whether it
+            # was promoted in place or fetched back
+            coh = self._committed_grant(note.line, core, note.is_store)[0]
+            if coh is CohState.EXCLUSIVE:
+                coh = CohState.SHARED
         res = level.apply_commit(note.line, note.thread, coh)
         if res.case is CommitCase.REINSTALLED:
             ctr["rsr_reinstalls"] += 1
@@ -474,7 +436,9 @@ class Engine:
             # touched, or fetched back), a committing store must leave
             # it writable by this core: another window may have replaced
             # the in-flight copy with a shared one in the meantime
-            self._commit_store_state(note.line, core, level)
+            self._committed_grant(note.line, core, True)
+            level.set_coh_state(note.line, CohState.MODIFIED)
+            self.directory.upgrade_for_store(note.line, core)
 
     def _drain_nfb(self) -> None:
         for note in self.nfb.drain():
@@ -493,54 +457,36 @@ class Engine:
             self._committed_line_access(op.thread, op.line, op.is_store, op.is_ifetch)
             ctr["delayed_completed"] += 1
 
-    def _do_commit(self, thread: int, window_id: int) -> None:
-        rec = self.windows.close(window_id)
-        if rec.thread != thread:
-            raise ValueError(f"window {window_id} belongs to thread {rec.thread}, not {thread}")
-        self._purge_pending(window_id)
-        self.report.counters["windows_committed"] += 1
-        if self.cfg.mode == "baseline":
-            return
-        for kind, payload in rec.ops:
-            if kind == "access":
-                ar: AccessRecord = payload
-                for level_id in ar.levels:
-                    note = Notification(
-                        window_id, rec.thread, ar.line, level_id, NotifKind.COMMIT, ar.is_store
-                    )
-                    for out in self.nfb.offer(note):
-                        self._deliver(out)
-            else:
-                # program order matters across op kinds: drain pending
-                # notifications before executing the stalled operation
-                self._drain_nfb()
-                self._exec_deferred(kind, payload, rec.thread)
-        self._drain_nfb()
-        self.report.counters["nfb_merged"] = self.nfb.merged
-        self.report.counters["nfb_forced_out"] = self.nfb.forced_out
+    def _resolve(self, window_id: int, kind: NotifKind) -> None:
+        """Close a window and walk its log in program order.
 
-    def _do_squash(self, thread: int, window_id: int) -> None:
+        Each access sends its L1 and then its L2 notification through
+        the NFB.  A commit executes the window's deferred operations,
+        draining the NFB before each so that program order holds across
+        op kinds; a squash drops them.
+        """
         rec = self.windows.close(window_id)
-        if rec.thread != thread:
-            raise ValueError(f"window {window_id} belongs to thread {rec.thread}, not {thread}")
-        self._purge_pending(window_id)
-        self.report.counters["windows_squashed"] += 1
+        self._pending = [p for p in self._pending if p.pend.window != window_id]
+        commit = kind is NotifKind.COMMIT
+        ctr = self.report.counters
+        ctr["windows_committed" if commit else "windows_squashed"] += 1
         if self.cfg.mode == "baseline":
             return
-        for kind, payload in rec.ops:
-            if kind == "access":
-                ar = payload
-                for level_id in ar.levels:
-                    note = Notification(
-                        window_id, rec.thread, ar.line, level_id, NotifKind.SQUASH, ar.is_store
-                    )
+        for op, payload in rec.ops:
+            if op == "access":
+                ar: AccessRecord = payload
+                for level_id in (ar.l1, LevelId.L2):
+                    note = Notification(window_id, rec.thread, ar.line, level_id, kind, ar.is_store)
                     for out in self.nfb.offer(note):
                         self._deliver(out)
+            elif commit:
+                self._drain_nfb()
+                self._exec_deferred(op, payload, rec.thread)
             else:
-                self.report.counters["deferred_dropped"] += 1
+                ctr["deferred_dropped"] += 1
         self._drain_nfb()
-        self.report.counters["nfb_merged"] = self.nfb.merged
-        self.report.counters["nfb_forced_out"] = self.nfb.forced_out
+        ctr["nfb_merged"] = self.nfb.merged
+        ctr["nfb_forced_out"] = self.nfb.forced_out
 
     # -- suspended install retries -------------------------------------------
 
@@ -554,15 +500,14 @@ class Engine:
                 if status == "installed":
                     progress = True
                     self.report.counters["retried_installs"] += 1
-                    if p.level_id is LevelId.L2:
+                    state = CohState.MODIFIED if p.pend.is_store else CohState.SHARED
+                    if p.level is self.l2:
                         self._handle_l2_eviction(evicted)
-                        state = CohState.MODIFIED if p.pend.is_store else CohState.SHARED
                         self.directory.note_l2_fill(p.pend.line, state)
                         if p.pend.is_store:
                             self.directory.upgrade_for_store(p.pend.line, p.core)
                     else:
                         self._handle_l1_eviction(evicted, p.core)
-                        state = CohState.MODIFIED if p.pend.is_store else CohState.SHARED
                         self.directory.note_l1_fill(p.pend.line, p.core, state)
                 elif status == "blocked":
                     keep.append(p)
@@ -578,9 +523,9 @@ class Engine:
         else:
             wid = self._synth
             self._synth -= 1
-            self.windows.open(wid, thread)
-            latency = self._inflight_access(thread, addr, wid, False, False)
-            self._do_commit(thread, wid)
+            rec = self.windows.open(wid, thread)
+            latency = self._inflight_access(rec, addr, False, False)
+            self._resolve(wid, NotifKind.COMMIT)
         obs = TimingObservation(
             index=len(self.report.observations),
             thread=thread,
@@ -613,40 +558,44 @@ class Engine:
 
     def step(self, ev: TraceEvent) -> None:
         kind = ev.kind
+        # validate before anything changes, so a rejected event leaves
+        # the engine exactly as it was
+        if not 0 <= ev.thread < self.cfg.num_threads:
+            raise ValueError(f"thread {ev.thread} out of range 0..{self.cfg.num_threads - 1}")
+        rec = None
+        if ev.window is not None and kind is not EventKind.OPEN:
+            rec = self.windows.get_open(ev.window)
+            if rec.thread != ev.thread:
+                raise ValueError(f"window {ev.window} belongs to thread {rec.thread}, not {ev.thread}")
         baseline = self.cfg.mode == "baseline"
         if kind is EventKind.OPEN:
             self.windows.open(ev.window, ev.thread)
         elif kind in (EventKind.LOAD, EventKind.STORE, EventKind.IFETCH):
             is_store = kind is EventKind.STORE
             is_ifetch = kind is EventKind.IFETCH
-            if ev.window is None:
+            if rec is None:
                 self._committed_access(ev.thread, ev.addr, is_store, is_ifetch)
             elif baseline:
-                rec = self.windows.get_open(ev.window)
-                if rec.thread != ev.thread:
-                    raise ValueError(
-                        f"window {ev.window} belongs to thread {rec.thread}, not {ev.thread}"
-                    )
                 self._committed_access(ev.thread, ev.addr, is_store, is_ifetch, spec_fill=True)
             else:
-                self._inflight_access(ev.thread, ev.addr, ev.window, is_store, is_ifetch)
+                self._inflight_access(rec, ev.addr, is_store, is_ifetch)
         elif kind is EventKind.PREFETCH:
             self._prefetch_line(self.l2.geometry.line_of(ev.addr), ev.thread)
         elif kind is EventKind.MGMT:
-            if ev.window is None or baseline:
+            if rec is None or baseline:
                 self._exec_mgmt(ev)
             else:
-                self.windows.get_open(ev.window).record("mgmt", ev)
+                rec.record("mgmt", ev)
         elif kind is EventKind.TLBMISS_LOAD:
             if baseline:
                 self._committed_access(ev.thread, ev.addr, False, False, spec_fill=True)
             else:
-                self.windows.get_open(ev.window).record("tlb", ev)
+                rec.record("tlb", ev)
                 self.report.counters["tlb_deferred"] += 1
         elif kind is EventKind.COMMIT:
-            self._do_commit(ev.thread, ev.window)
+            self._resolve(ev.window, NotifKind.COMMIT)
         elif kind is EventKind.SQUASH:
-            self._do_squash(ev.thread, ev.window)
+            self._resolve(ev.window, NotifKind.SQUASH)
         elif kind is EventKind.MEASURE:
             self._measure(ev.thread, ev.addr)
         elif kind is EventKind.BARRIER:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Any
 
 from .cache import LevelId
@@ -37,9 +37,10 @@ class WindowClosed(Exception):
     """Operation targets a window that already committed or squashed."""
 
 
-class NotifKind(Enum):
-    COMMIT = "commit"
-    SQUASH = "squash"
+class NotifKind(IntEnum):
+    # an IntEnum hashes as a plain int: the NFB hashes a kind on every offer
+    COMMIT = 0
+    SQUASH = 1
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,12 @@ class NotificationBuffer:
 
 @dataclass
 class AccessRecord:
-    """One in-flight access and the levels of its committed footprint
-    (L1 first; spans L2 even when the lookup hit at L1)."""
+    """One in-flight access.  Its committed footprint is its L1 (`l1`)
+    and then the L2, even when the lookup hit at L1."""
 
     line: int
-    levels: list[LevelId]
+    l1: LevelId
     is_store: bool = False
-    is_ifetch: bool = False
 
 
 @dataclass
@@ -160,9 +160,6 @@ class WindowRegistry:
         self._closed.add(window_id)
         rec.is_open = False
         return rec
-
-    def open_windows(self, thread: int | None = None) -> list[WindowRecord]:
-        return [w for w in self._windows.values() if thread is None or w.thread == thread]
 
     def any_open(self) -> bool:
         return bool(self._windows)

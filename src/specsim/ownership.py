@@ -40,7 +40,6 @@ class AcquireResult(Enum):
 class ReleaseResult(Enum):
     EVICTED = "evicted"
     RELEASED_ONLY = "released_only"
-    SUSPENDED = "suspended"
 
 
 @dataclass
@@ -51,7 +50,6 @@ class SuspendedInstall:
     window: int
     line: int
     set_index: int
-    is_ifetch: bool = False
     is_store: bool = False
 
 
@@ -107,7 +105,3 @@ class ThreadOwnership:
             if self.release_on_evict(cache_set, way, thread) is ReleaseResult.EVICTED:
                 return way
         return None
-
-    def promote_on_commit(self, cache_set: CacheSet, way: int) -> None:
-        """A commit is taking the line persistent: ownership ends."""
-        cache_set.ways[way].owner_mask = 0

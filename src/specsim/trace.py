@@ -41,8 +41,6 @@ class EventKind(Enum):
 
 MGMT_OPS = ("flush", "invd", "prefetch")
 
-ACCESS_KINDS = (EventKind.LOAD, EventKind.STORE, EventKind.IFETCH)
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -136,6 +134,15 @@ _GRAMMAR: dict[str, tuple[EventKind, int, int, str, int, int, int]] = {
 }
 
 
+def _natural(text: str) -> int:
+    """`int(text, 0)` for a field that is never negative: an address,
+    a thread or a window."""
+    value = int(text, 0)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
     toks = line.split("#", 1)[0].split()
@@ -160,16 +167,16 @@ def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     what, tok = "window", toks[-1]
     try:
         if n > least:
-            window = int(tok[1:] if tok[0] in "wW" else tok, 0)
+            window = _natural(tok[1:] if tok[0] in "wW" else tok)
         if t_pos:
             what, tok = "thread", toks[t_pos]
-            thread = int(tok[1:] if tok[0] in "tT" else tok, 0)
+            thread = _natural(tok[1:] if tok[0] in "tT" else tok)
         if a_pos:
             what, tok = "address", toks[a_pos]
-            addr = int(tok, 0)
+            addr = _natural(tok)
         if w_pos:
             what, tok = "window", toks[w_pos]
-            window = int(tok[1:] if tok[0] in "wW" else tok, 0)
+            window = _natural(tok[1:] if tok[0] in "wW" else tok)
     except ValueError:
         raise TraceParseError(f"line {lineno}: bad {what} {tok!r}") from None
     return TraceEvent(kind, thread, addr, window, op)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from specsim.cache import CohState, Domain, LINE_SIZE
@@ -10,6 +12,7 @@ from specsim.engine import Engine, LatencyClass, run_trace
 from specsim.trace import TraceEvent
 
 from conftest import small_config
+from gentraces import random_events
 
 
 def local_addr(cfg, core, si=None, tag=1):
@@ -151,6 +154,37 @@ def test_committed_store_shoots_down_remote_copies(cfg):
     # the writer's own probe is now fast, the old sharer's is not
     assert eng._measure(other, addr).klass is LatencyClass.HIT
     assert eng._measure(0, addr).klass is LatencyClass.MISS
+
+
+@pytest.mark.parametrize("spec_store, counter", [
+    (True, "rfo_invalidations"),
+    (False, "owner_recalls"),
+])
+def test_commit_time_reinstall_counts_its_coherence_action(cfg, spec_store, counter):
+    """Core 1's committed access purges core 0's speculative copy, so
+    the commit re-installs the line and must first take it from core 1:
+    a store shoots core 1's copy down, a load recalls core 1's M."""
+    eng = Engine(cfg)
+    addr = local_addr(cfg, core=0)
+    line = addr // LINE_SIZE
+    eng.step(TraceEvent.open(0, 1))
+    if spec_store:
+        eng.step(TraceEvent.store(0, addr, 1))
+        eng.step(TraceEvent.load(1, addr))
+    else:
+        eng.step(TraceEvent.load(0, addr, 1))
+        eng.step(TraceEvent.store(1, addr))
+    assert eng.report.counters["spec_purges"] == 1
+    assert eng.report.counters[counter] == 0
+    eng.step(TraceEvent.commit(0, 1))
+    assert eng.report.counters["rsr_reinstalls"] >= 1
+    assert eng.report.counters[counter] == 1
+    if spec_store:
+        assert eng.l1d[1].resident_domain(line) is None
+        assert eng.directory.state(line) is CohState.MODIFIED
+    else:
+        assert eng.l1d[1].coh_state_of(line) is CohState.SHARED
+        assert eng.directory.state(line) is CohState.SHARED
 
 
 # -- window resolution --------------------------------------------------------
@@ -332,13 +366,83 @@ def test_baseline_has_no_temporary_ways(baseline_cfg):
     assert eng.l1d[0].resident_domain(addr // LINE_SIZE) is Domain.PERSISTENT
 
 
-def test_window_thread_ownership_enforced(cfg):
+def _snapshot(eng):
+    return eng.fingerprint(), dict(eng.report.counters), eng.windows.any_open()
+
+
+def test_window_thread_ownership_enforced():
+    """An event naming a window another thread opened fails with nothing
+    changed: the window stays open, and its owner can still resolve it."""
+    for mode in ("specbox", "baseline"):
+        cfg = small_config(mode=mode)
+        eng = Engine(cfg)
+        addr = local_addr(cfg, core=0)
+        line = addr // LINE_SIZE
+        eng.step(TraceEvent.open(0, 1))
+        eng.step(TraceEvent.load(0, addr, 1))
+        before = _snapshot(eng)
+        for ev in (
+            TraceEvent.load(1, addr, 1),
+            TraceEvent.commit(1, 1),
+            TraceEvent.squash(1, 1),
+            TraceEvent.mgmt("flush", 1, addr, 1),
+            TraceEvent.tlbmiss_load(1, addr, 1),
+        ):
+            with pytest.raises(ValueError):
+                eng.step(ev)
+            assert _snapshot(eng) == before, (mode, ev)
+            assert eng.windows.get_open(1).thread == 0
+        eng.step(TraceEvent.squash(0, 1))
+        assert not eng.windows.any_open()
+        if mode == "specbox":
+            assert eng.l2.resident_domain(line) is None
+
+
+def test_thread_out_of_range_is_rejected_before_anything_changes(cfg):
     eng = Engine(cfg)
-    eng.step(TraceEvent.open(0, 1))
-    with pytest.raises(ValueError):
-        eng.step(TraceEvent.load(1, 0x40, 1))
-    with pytest.raises(ValueError):
-        eng.step(TraceEvent.commit(1, 1))
+    assert cfg.num_threads == 2
+    before = _snapshot(eng)
+    for ev in (
+        TraceEvent.open(7, 1),
+        TraceEvent.load(7, 0x40, 1),
+        TraceEvent.load(2, 0x40),
+        TraceEvent.store(7, 0x40),
+        TraceEvent.prefetch(2, 0x40),
+        TraceEvent.mgmt("flush", 2, 0x40),
+        TraceEvent.measure(7, 0x40),
+    ):
+        with pytest.raises(ValueError):
+            eng.step(ev)
+        assert _snapshot(eng) == before, ev
+    eng.step(TraceEvent.open(1, 1))
+    eng.step(TraceEvent.load(1, 0x40, 1))
+    eng.step(TraceEvent.commit(1, 1))
+    assert not eng.windows.any_open()
+
+
+@pytest.mark.parametrize("mode, cores, smt", [
+    ("specbox", 2, 2),
+    ("specbox", 4, 1),
+    ("baseline", 2, 2),
+])
+def test_every_l1_line_keeps_its_sharer_bit(mode, cores, smt):
+    """L1 copies are invalidated by walking only the directory's sharer
+    mask, which misses none only while every valid L1 line has its
+    sharer bit: checked after every event of a random soup."""
+    cfg = small_config(mode=mode, cores=cores, smt=smt)
+    eng = Engine(cfg)
+    rng = random.Random(cores * 10 + smt)
+    for n, ev in enumerate(random_events(rng, cfg, 3000), 1):
+        eng.step(ev)
+        for core in range(cores):
+            for lv in (eng.l1i[core], eng.l1d[core]):
+                for line in lv.resident_lines():
+                    assert eng.directory.sharers(line) >> core & 1, (
+                        f"event {n} ({ev.format()}): core {core} holds {line:#x} without its bit"
+                    )
+        if n % 1000 == 0 and not eng.windows.any_open():
+            level = rng.choice(("l1i", "l1d", "l2"))
+            eng.reconfigure(level, rng.randint(1, getattr(cfg, level).ways - 1))
 
 
 def test_reconfigure_requires_quiescence(cfg):

@@ -125,14 +125,14 @@ def test_record_after_close_rejected():
         rec.record("access", object())
 
 
-def test_open_windows_filters_by_thread():
+def test_any_open_until_every_window_closes():
     reg = WindowRegistry()
     reg.open(1, thread=0)
     reg.open(2, thread=1)
     reg.open(3, thread=0)
-    assert {w.window_id for w in reg.open_windows(thread=0)} == {1, 3}
-    assert reg.any_open()
+    assert [reg.get_open(wid).thread for wid in (1, 2, 3)] == [0, 1, 0]
     for wid in (1, 2, 3):
+        assert reg.any_open()
         reg.close(wid)
     assert not reg.any_open()
 
@@ -148,7 +148,7 @@ def test_closed_windows_are_released():
         closed.append(weakref.ref(reg.close(wid)))
     gc.collect()
     assert all(ref() is None for ref in closed)
-    assert [w.window_id for w in reg.open_windows()] == [-1]
+    assert reg.get_open(-1).thread == 1
     with pytest.raises(WindowClosed):
         reg.get_open(9_999)
     with pytest.raises(UnknownWindow):

@@ -63,11 +63,3 @@ def test_find_evictable_drains_own_single_ownership():
     cset.install(3, 6, Domain.TEMPORARY, own.bit(0), CohState.SHARED, 2)
     # oldest own line is evictable immediately
     assert own.find_evictable(cset, 0) == 2
-
-
-def test_promote_on_commit_clears_mask():
-    own = ThreadOwnership(2)
-    cset = fresh_set()
-    cset.install(2, 5, Domain.TEMPORARY, 0b11, CohState.SHARED, 1)
-    own.promote_on_commit(cset, 2)
-    assert cset.ways[2].owner_mask == 0

@@ -124,6 +124,13 @@ def test_accepted_forms(line, event):
     # an optional trailing window is checked before the other fields
     ("LOAD tx 0x40 wq", "bad window 'wq'"),
     ("TLBMISS_LOAD tx 0x40 wq", "bad thread 'tx'"),
+    # no address, thread or window is negative
+    ("LOAD t0 -64", "bad address '-64'"),
+    ("MEASURE t1 -0x40", "bad address '-0x40'"),
+    ("LOAD t-1 0x40", "bad thread 't-1'"),
+    ("OPEN -2 w1", "bad thread '-2'"),
+    ("COMMIT t0 w-1", "bad window 'w-1'"),
+    ("STORE t0 0x40 -3", "bad window '-3'"),
 ])
 def test_rejected_forms_name_their_line(line, message):
     with pytest.raises(TraceParseError) as exc:
