@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 LINE_SIZE = 64
+ADDR_MASK = 0xFFFF_FFFF_FFFF_FFFF  # addresses are 64-bit
 
 
 class Domain(Enum):
@@ -82,7 +83,7 @@ class CacheGeometry:
             raise ValueError(f"line size is fixed at {LINE_SIZE} bytes")
 
     def line_of(self, address: int) -> int:
-        return (address & 0xFFFF_FFFF_FFFF_FFFF) // self.line_size
+        return (address & ADDR_MASK) // self.line_size
 
     def set_index(self, line: int) -> int:
         return line % self.num_sets

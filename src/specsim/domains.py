@@ -23,10 +23,10 @@ on the mask draining.
 
 Every line lookup here is one probe of the set's tag index (see
 :class:`.cache.CacheSet`), with the set index and tag taken from the
-line by a mask and a shift, and every fill picks its victim with the
-set's single-pass ``select_victim``; only ``reconfigure`` and the
-ownership scan walk a full ``victim_order``.  Only fills, not lookups,
-grow with the associativity.
+line by a mask and a shift, and every fill picks its victim in one pass
+(the set's ``select_victim``, or the ownership scan for a gated
+temporary fill); only ``reconfigure`` walks a full ``victim_order``.
+Only fills, not lookups, grow with the associativity.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class CacheLevel:
 
     # -- bookkeeping -------------------------------------------------
 
-    def _stamp(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def lookup(self, line: int) -> tuple[int, int] | None:
         """(set_index, way) of a valid copy of `line`, or None."""
         si = line & self._set_mask
@@ -172,9 +168,10 @@ class CacheLevel:
 
         if self.cap_t == 0:
             # no temporary ways here: fall back to plain persistent fills
-            evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+            evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
             return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
+        way = None
         if self.protected:
             way = self.ownership.find_evictable(cset, thread)
             if way is None:
@@ -188,18 +185,7 @@ class CacheLevel:
                         is_store=is_store,
                     ),
                 )
-            evicted = self._evict_way(si, way)
-            cset.install(
-                way,
-                line >> self._tag_shift,
-                Domain.TEMPORARY,
-                self.ownership.bit(thread),
-                coh_state,
-                self._stamp(),
-            )
-            return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
-
-        evicted = self._install(si, line, Domain.TEMPORARY, thread, coh_state)
+        evicted = self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh_state, way)
         return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def access_committed(
@@ -215,11 +201,12 @@ class CacheLevel:
         way = cset.index.get(line >> self._tag_shift)
         if way is not None:
             if cset.ways[way].domain is Domain.PERSISTENT:
-                cset.touch(way, self._stamp())
+                self._clock += 1
+                cset.touch(way, self._clock)
                 return LevelAccess(AccessOutcome.HIT)
             evicted = self._promote(si, way)
             return LevelAccess(AccessOutcome.HIT, evicted_line=evicted, promoted=True)
-        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
         return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def try_install_suspended(self, pending: SuspendedInstall) -> tuple[str, int | None]:
@@ -235,17 +222,9 @@ class CacheLevel:
         way = self.ownership.find_evictable(cset, pending.thread)
         if way is None:
             return "blocked", None
-        evicted = self._evict_way(pending.set_index, way)
         coh = CohState.MODIFIED if pending.is_store else CohState.SHARED
-        cset.install(
-            way,
-            tag,
-            Domain.TEMPORARY,
-            self.ownership.bit(pending.thread),
-            coh,
-            self._stamp(),
-        )
-        return "installed", evicted
+        mask = self.ownership.bit(pending.thread)
+        return "installed", self._install(pending.set_index, pending.line, Domain.TEMPORARY, mask, coh, way)
 
     # -- window resolution -------------------------------------------
 
@@ -269,9 +248,10 @@ class CacheLevel:
             if cset.ways[way].domain is Domain.TEMPORARY:
                 evicted = self._promote(si, way)
                 return CommitResult(CommitCase.PROMOTED, evicted_line=evicted)
-            cset.touch(way, self._stamp())
+            self._clock += 1
+            cset.touch(way, self._clock)
             return CommitResult(CommitCase.TOUCHED)
-        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
         return CommitResult(CommitCase.REINSTALLED, evicted_line=evicted)
 
     def apply_squash(self, line: int, thread: int) -> bool:
@@ -312,7 +292,7 @@ class CacheLevel:
         si = line & self._set_mask
         if line >> self._tag_shift in self.sets[si].index:
             return LevelAccess(AccessOutcome.HIT)
-        evicted = self._install(si, line, Domain.PERSISTENT, thread, coh_state)
+        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
         return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
 
     def reconfigure(self, new_cap_t: int) -> ReconfigResult:
@@ -349,41 +329,42 @@ class CacheLevel:
 
     # -- internals ---------------------------------------------------
 
-    def _evict_way(self, set_index: int, way: int) -> int | None:
-        cset = self.sets[set_index]
-        meta = cset.ways[way]
-        if not meta.valid:
-            return None
-        line = meta.tag << self._tag_shift | set_index
-        cset.invalidate(way)
-        return line
-
     def _install(
         self,
         set_index: int,
         line: int,
         domain: Domain,
-        thread: int,
+        owner_mask: int,
         coh_state: CohState,
+        way: int | None = None,
     ) -> int | None:
-        """Fill `line` into the set's victim way of `domain`; returns the
-        line it evicted, if any."""
+        """Fill `line` into `way` (by default the set's victim way of
+        `domain`); returns the line it evicted, if any.  `install`
+        overwrites a valid way in place, so the victim needs no
+        separate invalidation."""
         cset = self.sets[set_index]
-        way = cset.select_victim(domain)
-        evicted = self._evict_way(set_index, way)
-        mask = self.ownership.bit(thread) if domain is Domain.TEMPORARY else 0
-        cset.install(way, line >> self._tag_shift, domain, mask, coh_state, self._stamp())
+        if way is None:
+            way = cset.select_victim(domain)
+        meta = cset.ways[way]
+        evicted = meta.tag << self._tag_shift | set_index if meta.valid else None
+        self._clock += 1
+        cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state, self._clock)
         return evicted
 
     def _promote(self, set_index: int, way: int) -> int | None:
         """Swap the temporary line at `way` into the persistent domain."""
         cset = self.sets[set_index]
         victim = cset.select_victim(Domain.PERSISTENT)
-        evicted = self._evict_way(set_index, victim)
+        vmeta = cset.ways[victim]
+        evicted = None
+        if vmeta.valid:
+            evicted = vmeta.tag << self._tag_shift | set_index
+            cset.invalidate(victim)
         cset.relabel(victim, Domain.TEMPORARY)
         cset.relabel(way, Domain.PERSISTENT)
         cset.ways[way].owner_mask = 0
-        cset.touch(way, self._stamp())
+        self._clock += 1
+        cset.touch(way, self._clock)
         return evicted
 
     # -- introspection -----------------------------------------------

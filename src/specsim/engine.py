@@ -21,7 +21,14 @@ indistinguishable in both raw latency and class.
 MEASURE is a timed probe: in specbox mode it runs as a one-shot
 speculative window that commits immediately — the latency is sampled
 while the access is in flight, exactly like a transient attacker would
-— and in baseline mode it is a plain committed load.
+— and in baseline mode it is a plain committed load.  The probe's
+window never enters the window registry or the notification buffer: it
+is committed on the spot, its L1 note and then its L2 note delivered
+directly, or its delayed access replayed.  That leaves exactly the
+state and counters of ``OPEN t w; LOAD t a w; COMMIT t w`` with an
+unused window id ``w``, because the buffer is empty whenever a window
+resolves and an access's L1 and L2 notes never merge; a one-entry
+buffer forces the L1 note out, which is counted as it would be.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cache import CacheGeometry, CohState, Domain, LevelId
+from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
 from .coherence import DelayedOp, Directory
 from .config import SimConfig
 from .domains import AccessOutcome, CacheLevel, CommitCase, NotQuiescent
@@ -39,7 +46,7 @@ from .notifier import (
     Notification,
     NotificationBuffer,
     NotifKind,
-    WindowRecord,
+    OpKind,
     WindowRegistry,
 )
 from .ownership import SuspendedInstall
@@ -104,22 +111,15 @@ class Engine:
         self._pending: list[_Pending] = []
         self._synth = -1
         self.report = SimReport(mode=cfg.mode)
+        # read on every event; cfg.num_threads is a computed property
+        self._nthreads = nthreads
+        self._smt = cfg.smt
+        self._baseline = cfg.mode == "baseline"
 
     # -- plumbing ------------------------------------------------------
 
     def core_of(self, thread: int) -> int:
-        return thread // self.cfg.smt
-
-    def _l1_for(self, thread: int, is_ifetch: bool) -> CacheLevel:
-        bank = self.l1i if is_ifetch else self.l1d
-        return bank[self.core_of(thread)]
-
-    def _level_of(self, level_id: LevelId, thread: int) -> CacheLevel:
-        if level_id is LevelId.L2:
-            return self.l2
-        if level_id is LevelId.L1I:
-            return self.l1i[self.core_of(thread)]
-        return self.l1d[self.core_of(thread)]
+        return thread // self._smt
 
     def _l2_latency(self, core: int, line: int) -> int:
         lat = self.cfg.latency
@@ -184,12 +184,12 @@ class Engine:
     # -- speculative access path -----------------------------------------
 
     def _inflight_access(
-        self, rec: WindowRecord, addr: int, is_store: bool, is_ifetch: bool
+        self, thread: int, window_id: int, ops: list, line: int, is_store: bool, is_ifetch: bool
     ) -> int:
-        thread, window_id = rec.thread, rec.window_id
-        line = self.l2.geometry.line_of(addr)
-        core = self.core_of(thread)
-        l1 = self._l1_for(thread, is_ifetch)
+        """Run one access in flight inside window `window_id`, append it
+        to the window's op log `ops`, and return its latency."""
+        core = thread // self._smt
+        l1 = (self.l1i if is_ifetch else self.l1d)[core]
         ctr = self.report.counters
 
         if is_store:
@@ -207,7 +207,7 @@ class Engine:
 
         if delayed:
             ctr["delayed_coherence"] += 1
-            rec.record("delayed", DelayedOp(thread, line, is_store, is_ifetch))
+            ops.append((OpKind.DELAYED, DelayedOp(thread, line, is_store, is_ifetch)))
             return self._full_miss_latency(core, line)
 
         latency = self.cfg.latency.l1_hit
@@ -251,7 +251,7 @@ class Engine:
         # is inclusive, so a commit must be able to repair an L2 copy torn
         # down by a sibling window's squash even when the access itself
         # hit at L1, and a squash must purge the L2 copy for the same reason
-        rec.record("access", AccessRecord(line, l1.geometry.level_id, is_store))
+        ops.append((OpKind.ACCESS, AccessRecord(line, l1.geometry.level_id, is_store)))
         ctr["inflight_accesses"] += 1
         return latency
 
@@ -313,8 +313,8 @@ class Engine:
         is_ifetch: bool,
         spec_fill: bool = False,
     ) -> int:
-        core = self.core_of(thread)
-        l1 = self._l1_for(thread, is_ifetch)
+        core = thread // self._smt
+        l1 = (self.l1i if is_ifetch else self.l1d)[core]
         ctr = self.report.counters
         self._purge_speculative_copies(line)
         grant, recalled = self._committed_grant(line, core, is_store)
@@ -354,18 +354,10 @@ class Engine:
             self._prefetch_line(line + 1, thread)
         return self._full_miss_latency(core, line) if recalled else latency
 
-    def _committed_access(
-        self, thread: int, addr: int, is_store: bool, is_ifetch: bool, spec_fill: bool = False
-    ) -> int:
-        return self._committed_line_access(
-            thread, self.l2.geometry.line_of(addr), is_store, is_ifetch, spec_fill
-        )
-
     # -- management & prefetch ----------------------------------------------
 
     def _prefetch_line(self, line: int, thread: int) -> None:
-        core = self.core_of(thread)
-        if self.directory.grant_load(line, core, True).delayed:
+        if self.directory.grant_load(line, thread // self._smt, True).delayed:
             self.report.counters["prefetch_dropped"] += 1
             return
         res = self.l2.install_prefetch(line, thread, CohState.SHARED)
@@ -374,10 +366,9 @@ class Engine:
             self.directory.note_l2_fill(line, CohState.SHARED)
             self.report.counters["prefetch_fills"] += 1
 
-    def _exec_mgmt(self, ev: TraceEvent) -> None:
-        line = self.l2.geometry.line_of(ev.addr)
-        if ev.mgmt_op == "prefetch":
-            self._prefetch_line(line, ev.thread)
+    def _exec_mgmt(self, op: str, line: int, thread: int) -> None:
+        if op == "prefetch":
+            self._prefetch_line(line, thread)
         else:  # flush / invd: no dirty data is modelled, both invalidate
             self.l2.invalidate_line(line)
             self._back_invalidate(line)
@@ -386,73 +377,80 @@ class Engine:
 
     # -- window resolution -----------------------------------------------
 
-    def _deliver(self, note: Notification) -> None:
-        level = self._level_of(note.level, note.thread)
-        core = self.core_of(note.thread)
+    def _deliver(self, thread: int, line: int, level_id: LevelId, kind: NotifKind, is_store: bool) -> None:
+        """Apply one commit or squash notification at one level."""
+        core = thread // self._smt
+        if level_id is LevelId.L2:
+            level = self.l2
+        else:
+            level = (self.l1i if level_id is LevelId.L1I else self.l1d)[core]
         ctr = self.report.counters
         if level.cap_t == 0:
             # a level running without temporary ways has nothing to
             # resolve: notifications targeting it are suppressed
             ctr["notifications_suppressed"] += 1
             return
-        if note.kind is NotifKind.SQUASH:
-            dropped = level.apply_squash(note.line, note.thread)
+        if kind is NotifKind.SQUASH:
+            dropped = level.apply_squash(line, thread)
             if dropped:
                 ctr["lines_squashed"] += 1
-                if note.level is not LevelId.L2:
-                    self._l1_presence_refresh(note.line, core)
+                if level_id is not LevelId.L2:
+                    self._l1_presence_refresh(line, core)
                 # the L1 and L2 notes of one access can drain in either
                 # order (merging reorders them), so check for a fully
                 # dead entry after every drop, not just the L2 one
-                if self.directory.sharers(note.line) == 0 and self.l2.lookup(note.line) is None:
-                    self.directory.drop(note.line)
+                if self.directory.sharers(line) == 0 and self.l2.lookup(line) is None:
+                    self.directory.drop(line)
             return
 
         coh = CohState.EXCLUSIVE
-        if level.lookup(note.line) is None:
+        if level.lookup(line) is None:
             # a commit-time re-install is fetched like a committed access,
             # but kept at S so a committed line looks the same whether it
             # was promoted in place or fetched back
-            coh = self._committed_grant(note.line, core, note.is_store)[0]
+            coh = self._committed_grant(line, core, is_store)[0]
             if coh is CohState.EXCLUSIVE:
                 coh = CohState.SHARED
-        res = level.apply_commit(note.line, note.thread, coh)
+        res = level.apply_commit(line, thread, coh)
         if res.case is CommitCase.REINSTALLED:
             ctr["rsr_reinstalls"] += 1
-            if note.level is LevelId.L2:
+            if level_id is LevelId.L2:
                 self._handle_l2_eviction(res.evicted_line)
-                self.directory.note_l2_fill(note.line, coh)
+                self.directory.note_l2_fill(line, coh)
             else:
                 self._handle_l1_eviction(res.evicted_line, core)
-                self.directory.note_l1_fill(note.line, core, coh)
+                self.directory.note_l1_fill(line, core, coh)
         elif res.case is CommitCase.PROMOTED:
             ctr["lines_promoted"] += 1
-            if note.level is LevelId.L2:
+            if level_id is LevelId.L2:
                 self._handle_l2_eviction(res.evicted_line)
             else:
                 self._handle_l1_eviction(res.evicted_line, core)
-        if note.is_store:
+        if is_store:
             # regardless of how the line got here (promoted in place,
             # touched, or fetched back), a committing store must leave
             # it writable by this core: another window may have replaced
             # the in-flight copy with a shared one in the meantime
-            self._committed_grant(note.line, core, True)
-            level.set_coh_state(note.line, CohState.MODIFIED)
-            self.directory.upgrade_for_store(note.line, core)
+            self._committed_grant(line, core, True)
+            level.set_coh_state(line, CohState.MODIFIED)
+            self.directory.upgrade_for_store(line, core)
 
     def _drain_nfb(self) -> None:
-        for note in self.nfb.drain():
-            self._deliver(note)
+        for n in self.nfb.drain():
+            self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
 
-    def _exec_deferred(self, kind: str, payload, thread: int) -> None:
+    def _exec_deferred(self, kind: OpKind, payload, thread: int) -> None:
+        """Run a logged op of a committing window.  A MGMT payload is
+        (op name, line), a TLB payload the line, a DELAYED one a
+        DelayedOp."""
         ctr = self.report.counters
-        if kind == "mgmt":
-            self._exec_mgmt(payload)
+        if kind is OpKind.MGMT:
+            self._exec_mgmt(payload[0], payload[1], thread)
             ctr["mgmt_stalled_completed"] += 1
-        elif kind == "tlb":
-            self._committed_access(thread, payload.addr, False, False)
+        elif kind is OpKind.TLB:
+            self._committed_line_access(thread, payload, False, False)
             ctr["tlb_deferred_completed"] += 1
-        elif kind == "delayed":
+        elif kind is OpKind.DELAYED:
             op: DelayedOp = payload
             self._committed_line_access(op.thread, op.line, op.is_store, op.is_ifetch)
             ctr["delayed_completed"] += 1
@@ -470,15 +468,15 @@ class Engine:
         commit = kind is NotifKind.COMMIT
         ctr = self.report.counters
         ctr["windows_committed" if commit else "windows_squashed"] += 1
-        if self.cfg.mode == "baseline":
+        if self._baseline:
             return
         for op, payload in rec.ops:
-            if op == "access":
+            if op is OpKind.ACCESS:
                 ar: AccessRecord = payload
                 for level_id in (ar.l1, LevelId.L2):
                     note = Notification(window_id, rec.thread, ar.line, level_id, kind, ar.is_store)
-                    for out in self.nfb.offer(note):
-                        self._deliver(out)
+                    for n in self.nfb.offer(note):
+                        self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
             elif commit:
                 self._drain_nfb()
                 self._exec_deferred(op, payload, rec.thread)
@@ -517,25 +515,48 @@ class Engine:
     # -- measurement -----------------------------------------------------
 
     def _measure(self, thread: int, addr: int) -> TimingObservation:
-        line = self.l2.geometry.line_of(addr)
-        if self.cfg.mode == "baseline":
-            latency = self._committed_access(thread, addr, False, False)
+        line = (addr & ADDR_MASK) // LINE_SIZE
+        ctr = self.report.counters
+        if self._baseline:
+            latency = self._committed_line_access(thread, line, False, False)
         else:
+            # a one-shot window, committed on the spot (module docstring):
+            # a suspended fill dies with it, as any window's does
             wid = self._synth
             self._synth -= 1
-            rec = self.windows.open(wid, thread)
-            latency = self._inflight_access(rec, addr, False, False)
-            self._resolve(wid, NotifKind.COMMIT)
+            ops: list = []
+            pending = len(self._pending)
+            latency = self._inflight_access(thread, wid, ops, line, False, False)
+            del self._pending[pending:]
+            ctr["windows_committed"] += 1
+            nfb = self.nfb
+            ((op, payload),) = ops
+            if op is OpKind.ACCESS:
+                self._deliver(thread, line, LevelId.L1D, NotifKind.COMMIT, False)
+                self._deliver(thread, line, LevelId.L2, NotifKind.COMMIT, False)
+                if nfb.capacity == 1:
+                    nfb.forced_out += 1  # the L2 note forces the L1 note out
+            else:
+                self._exec_deferred(op, payload, thread)
+            ctr["nfb_merged"] = nfb.merged
+            ctr["nfb_forced_out"] = nfb.forced_out
+        th = self.cfg.thresholds
+        if latency < th.hit_below:
+            klass = LatencyClass.HIT
+        elif latency > th.miss_above:
+            klass = LatencyClass.MISS
+        else:
+            klass = LatencyClass.AMBIGUOUS
         obs = TimingObservation(
             index=len(self.report.observations),
             thread=thread,
             addr=addr,
             line=line,
             latency=latency,
-            klass=self.classify(latency),
+            klass=klass,
         )
         self.report.observations.append(obs)
-        self.report.counters["measures"] += 1
+        ctr["measures"] += 1
         return obs
 
     # -- public API ---------------------------------------------------------
@@ -558,49 +579,60 @@ class Engine:
 
     def step(self, ev: TraceEvent) -> None:
         kind = ev.kind
+        thread = ev.thread
+        addr = ev.addr
+        window = ev.window
         # validate before anything changes, so a rejected event leaves
         # the engine exactly as it was
-        if not 0 <= ev.thread < self.cfg.num_threads:
-            raise ValueError(f"thread {ev.thread} out of range 0..{self.cfg.num_threads - 1}")
+        if not 0 <= thread < self._nthreads:
+            raise ValueError(f"thread {thread} out of range 0..{self._nthreads - 1}")
+        if addr is not None:
+            if addr < 0:
+                raise ValueError(f"address {addr} is negative")
+            line = (addr & ADDR_MASK) // LINE_SIZE
         rec = None
-        if ev.window is not None and kind is not EventKind.OPEN:
-            rec = self.windows.get_open(ev.window)
-            if rec.thread != ev.thread:
-                raise ValueError(f"window {ev.window} belongs to thread {rec.thread}, not {ev.thread}")
-        baseline = self.cfg.mode == "baseline"
+        if window is not None:
+            if window < 0:
+                # negative ids are the engine's own one-shot probe windows
+                raise ValueError(f"window {window} is negative")
+            if kind is not EventKind.OPEN:
+                rec = self.windows.get_open(window)
+                if rec.thread != thread:
+                    raise ValueError(f"window {window} belongs to thread {rec.thread}, not {thread}")
+        baseline = self._baseline
         if kind is EventKind.OPEN:
-            self.windows.open(ev.window, ev.thread)
+            self.windows.open(window, thread)
         elif kind in (EventKind.LOAD, EventKind.STORE, EventKind.IFETCH):
             is_store = kind is EventKind.STORE
             is_ifetch = kind is EventKind.IFETCH
             if rec is None:
-                self._committed_access(ev.thread, ev.addr, is_store, is_ifetch)
+                self._committed_line_access(thread, line, is_store, is_ifetch)
             elif baseline:
-                self._committed_access(ev.thread, ev.addr, is_store, is_ifetch, spec_fill=True)
+                self._committed_line_access(thread, line, is_store, is_ifetch, spec_fill=True)
             else:
-                self._inflight_access(rec, ev.addr, is_store, is_ifetch)
+                self._inflight_access(thread, window, rec.ops, line, is_store, is_ifetch)
         elif kind is EventKind.PREFETCH:
-            self._prefetch_line(self.l2.geometry.line_of(ev.addr), ev.thread)
+            self._prefetch_line(line, thread)
         elif kind is EventKind.MGMT:
             if rec is None or baseline:
-                self._exec_mgmt(ev)
+                self._exec_mgmt(ev.mgmt_op, line, thread)
             else:
-                rec.record("mgmt", ev)
+                rec.record(OpKind.MGMT, (ev.mgmt_op, line))
         elif kind is EventKind.TLBMISS_LOAD:
             if baseline:
-                self._committed_access(ev.thread, ev.addr, False, False, spec_fill=True)
+                self._committed_line_access(thread, line, False, False, spec_fill=True)
             else:
-                rec.record("tlb", ev)
+                rec.record(OpKind.TLB, line)
                 self.report.counters["tlb_deferred"] += 1
         elif kind is EventKind.COMMIT:
-            self._resolve(ev.window, NotifKind.COMMIT)
+            self._resolve(window, NotifKind.COMMIT)
         elif kind is EventKind.SQUASH:
-            self._resolve(ev.window, NotifKind.SQUASH)
+            self._resolve(window, NotifKind.SQUASH)
         elif kind is EventKind.MEASURE:
-            self._measure(ev.thread, ev.addr)
-        elif kind is EventKind.BARRIER:
-            pass  # the retry sweep below is the fence
-        self._retry_suspended()
+            self._measure(thread, addr)
+        # BARRIER: the retry sweep below is the fence
+        if self._pending:
+            self._retry_suspended()
 
     def run(self, events: list[TraceEvent]) -> SimReport:
         for ev in events:

@@ -37,6 +37,15 @@ class WindowClosed(Exception):
     """Operation targets a window that already committed or squashed."""
 
 
+class OpKind(IntEnum):
+    """What a window-log entry records."""
+
+    ACCESS = 0   # an in-flight access (AccessRecord)
+    MGMT = 1     # a stalled cache-management op
+    TLB = 2      # a deferred page-walk fill
+    DELAYED = 3  # an access held by the coherence delay
+
+
 class NotifKind(IntEnum):
     # an IntEnum hashes as a plain int: the NFB hashes a kind on every offer
     COMMIT = 0
@@ -113,12 +122,12 @@ class WindowRecord:
     window_id: int
     thread: int
     is_open: bool = True
-    # program-ordered log: ("access", AccessRecord) | ("mgmt", ...)
-    # | ("tlb", ...) | ("delayed", ...); non-access payloads are opaque
-    # to this module and executed by the engine at commit.
-    ops: list[tuple[str, Any]] = field(default_factory=list)
+    # program-ordered log of (OpKind, payload); an ACCESS payload is an
+    # AccessRecord, the others are opaque to this module and executed
+    # by the engine at commit.
+    ops: list[tuple[OpKind, Any]] = field(default_factory=list)
 
-    def record(self, kind: str, payload: Any) -> None:
+    def record(self, kind: OpKind, payload: Any) -> None:
         if not self.is_open:
             raise WindowClosed(f"window {self.window_id} is closed")
         self.ops.append((kind, payload))

@@ -37,11 +37,6 @@ class AcquireResult(Enum):
     ACQUIRED_EMULATED_MISS = "acquired_emulated_miss"
 
 
-class ReleaseResult(Enum):
-    EVICTED = "evicted"
-    RELEASED_ONLY = "released_only"
-
-
 @dataclass
 class SuspendedInstall:
     """A parked temporary-domain install awaiting a free way."""
@@ -81,27 +76,39 @@ class ThreadOwnership:
         meta.owner_mask |= bit
         return AcquireResult.ACQUIRED_EMULATED_MISS
 
-    def release_on_evict(self, cache_set: CacheSet, victim_way: int, thread: int) -> ReleaseResult:
-        """Clear the evicting thread's bit on a victim candidate.
-
-        EVICTED means the mask drained and the way may be reclaimed;
-        RELEASED_ONLY means other owners remain and the line survives.
-        """
-        meta = cache_set.ways[victim_way]
-        assert meta.valid and meta.domain is Domain.TEMPORARY
-        meta.owner_mask &= ~self.bit(thread)
-        if meta.owner_mask == 0:
-            return ReleaseResult.EVICTED
-        return ReleaseResult.RELEASED_ONLY
-
     def find_evictable(self, cache_set: CacheSet, thread: int) -> int | None:
-        """Scan the temporary domain in victim order, releasing the
-        requester's bit on each candidate, and return the first way
-        whose mask drains.  None means every candidate is still owned
-        by other threads and the install must be suspended."""
-        for way in cache_set.victim_order(Domain.TEMPORARY):
-            if not cache_set.ways[way].valid:
+        """Scan the temporary domain in victim order (invalid ways first,
+        then by (recency, index)), releasing the requester's bit on each
+        candidate, and return the first way whose mask drains.  None
+        means every candidate is still owned by other threads and the
+        install must be suspended.
+
+        One pass over the ways finds the first invalid way (returned
+        with no mask touched) or else the first drainable way in victim
+        order.  Only then are the candidates ahead of it released, so
+        the masks end as that scan would leave them.
+        """
+        bit = self.bit(thread)
+        best = -1
+        best_recency = 0
+        shared: list[int] = []  # valid ways the requester co-owns with others
+        ways = cache_set.ways
+        for way, meta in enumerate(ways):
+            if meta.domain is not Domain.TEMPORARY:
+                continue
+            if not meta.valid:
                 return way
-            if self.release_on_evict(cache_set, way, thread) is ReleaseResult.EVICTED:
-                return way
-        return None
+            mask = meta.owner_mask
+            if not mask & ~bit:
+                if best < 0 or meta.recency < best_recency:
+                    best = way
+                    best_recency = meta.recency
+            elif mask & bit:
+                shared.append(way)
+        for way in shared:
+            if best < 0 or (ways[way].recency, way) < (best_recency, best):
+                ways[way].owner_mask &= ~bit
+        if best < 0:
+            return None
+        ways[best].owner_mask = 0
+        return best

@@ -8,8 +8,10 @@ import pytest
 
 from specsim.cache import CohState, Domain, LINE_SIZE
 from specsim.domains import NotQuiescent
+from specsim import attacks
 from specsim.engine import Engine, LatencyClass, run_trace
-from specsim.trace import TraceEvent
+from specsim.notifier import UnknownWindow
+from specsim.trace import EventKind, TraceEvent
 
 from conftest import small_config
 from gentraces import random_events
@@ -417,6 +419,111 @@ def test_thread_out_of_range_is_rejected_before_anything_changes(cfg):
     eng.step(TraceEvent.open(1, 1))
     eng.step(TraceEvent.load(1, 0x40, 1))
     eng.step(TraceEvent.commit(1, 1))
+    assert not eng.windows.any_open()
+
+
+@pytest.mark.parametrize("mode", ["specbox", "baseline"])
+def test_negative_address_or_window_is_rejected_before_anything_changes(mode):
+    cfg = small_config(mode=mode)
+    eng = Engine(cfg)
+    addr = local_addr(cfg, core=0)
+    eng.step(TraceEvent.open(0, 1))
+    eng.step(TraceEvent.load(0, addr, 1))
+    before = _snapshot(eng)
+    for ev in (
+        TraceEvent.load(0, -64),
+        TraceEvent.load(0, -64, 1),
+        TraceEvent.measure(0, -64),
+        TraceEvent.measure(1, -1),
+        TraceEvent.open(0, -1),
+        TraceEvent.load(0, addr, -1),
+    ):
+        with pytest.raises(ValueError):
+            eng.step(ev)
+        assert _snapshot(eng) == before, ev
+        assert eng.windows.get_open(1).thread == 0
+        assert not eng.report.observations
+    assert not eng.l2.resident_lines() - {addr // LINE_SIZE}
+
+
+# -- the direct probe commit ---------------------------------------------------
+
+
+def _probe_state(eng):
+    ctr = {k: v for k, v in eng.report.counters.items() if k != "measures"}
+    return eng.fingerprint(), ctr, eng.nfb.merged, eng.nfb.forced_out
+
+
+def _step_both(direct, windowed, ev, wid):
+    """Step `direct` through `ev`, and `windowed` through the same event
+    with a MEASURE spelled as a load in the unused window `wid`."""
+    direct.step(ev)
+    if ev.kind is EventKind.MEASURE:
+        windowed.step(TraceEvent.open(ev.thread, wid))
+        windowed.step(TraceEvent.load(ev.thread, ev.addr, wid))
+        windowed.step(TraceEvent.commit(ev.thread, wid))
+    else:
+        windowed.step(ev)
+
+
+@pytest.mark.parametrize("nfb_capacity", [0, 1, 16])
+@pytest.mark.parametrize("smt", [1, 2])
+def test_probe_commit_equals_a_one_load_window(nfb_capacity, smt):
+    """A specbox MEASURE commits its one-shot window without the window
+    registry or the NFB; what it leaves must equal OPEN/LOAD/COMMIT of
+    an unused window, checked after every event of random soups."""
+    cfg = small_config(smt=smt, nfb_capacity=nfb_capacity)
+    rng = random.Random(nfb_capacity * 10 + smt)
+    probes = 0
+    for soup in range(2):
+        direct, windowed = Engine(cfg), Engine(cfg)
+        wid = 1_000_000
+        for n, ev in enumerate(random_events(rng, cfg, 600), 1):
+            _step_both(direct, windowed, ev, wid)
+            if ev.kind is EventKind.MEASURE:
+                wid += 1
+                probes += 1
+            assert _probe_state(direct) == _probe_state(windowed), (soup, n, ev.format())
+    assert probes > 100
+
+
+def test_delayed_probe_replays_like_a_committed_window(cfg):
+    addr = local_addr(cfg, core=1)
+    direct, windowed = Engine(cfg), Engine(cfg)
+    for ev in (TraceEvent.load(1, addr), TraceEvent.measure(0, addr)):  # E at core 1
+        _step_both(direct, windowed, ev, 1)
+    assert _probe_state(direct) == _probe_state(windowed)
+    ctr = direct.report.counters
+    assert ctr["delayed_coherence"] == ctr["delayed_completed"] == 1
+    (obs,) = direct.report.observations
+    assert obs.latency == cfg.latency.l1_hit + cfg.latency.l2_remote + cfg.latency.memory
+    assert direct.directory.state(addr // LINE_SIZE) is CohState.SHARED
+
+
+def test_probes_bypass_the_window_registry_and_the_nfb():
+    cfg = attacks.scenario_config("poc", "specbox")
+    eng = Engine(cfg)
+    probing = False
+
+    def guarded(real):
+        def call(*args):
+            assert not probing, "a probe went through the window registry or the NFB"
+            return real(*args)
+        return call
+
+    eng.windows.open = guarded(eng.windows.open)
+    eng.windows.close = guarded(eng.windows.close)
+    eng.nfb.offer = guarded(eng.nfb.offer)
+    eng.nfb.drain = guarded(eng.nfb.drain)
+    for ev in attacks.build_trace("poc", 1, cfg, reps=2):
+        probing = ev.kind is EventKind.MEASURE
+        eng.step(ev)
+    obs = eng.report.observations
+    assert len(obs) == 2 * attacks.PROBE_LINES
+    assert all(o.klass is LatencyClass.MISS for o in obs)
+    assert eng.report.counters["windows_committed"] == len(obs)
+    with pytest.raises(UnknownWindow):
+        eng.windows.get_open(-1)
     assert not eng.windows.any_open()
 
 

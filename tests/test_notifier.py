@@ -14,6 +14,7 @@ from specsim.notifier import (
     Notification,
     NotificationBuffer,
     NotifKind,
+    OpKind,
     UnknownWindow,
     WindowClosed,
     WindowRegistry,
@@ -122,7 +123,7 @@ def test_record_after_close_rejected():
     reg.open(1, thread=0)
     rec = reg.close(1)
     with pytest.raises(WindowClosed):
-        rec.record("access", object())
+        rec.record(OpKind.ACCESS, object())
 
 
 def test_any_open_until_every_window_closes():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsim.cache import CacheSet, CohState, Domain
 from specsim.ownership import AcquireResult, ThreadOwnership
@@ -63,3 +65,59 @@ def test_find_evictable_drains_own_single_ownership():
     cset.install(3, 6, Domain.TEMPORARY, own.bit(0), CohState.SHARED, 2)
     # oldest own line is evictable immediately
     assert own.find_evictable(cset, 0) == 2
+
+
+def _victim_order_find_evictable(own, cset, thread):
+    """The scan find_evictable must match: walk victim_order, releasing
+    the requester's bit on each candidate until one drains."""
+    bit = own.bit(thread)
+    for way in cset.victim_order(Domain.TEMPORARY):
+        meta = cset.ways[way]
+        if not meta.valid:
+            return way
+        meta.owner_mask &= ~bit
+        if meta.owner_mask == 0:
+            return way
+    return None
+
+
+_way_state = st.one_of(
+    st.none(),  # invalid
+    st.tuples(st.integers(0, 3), st.integers(0, 15)),  # (recency, owner mask): few stamps, so ties
+)
+
+
+@given(
+    num_threads=st.integers(1, 4),
+    states=st.lists(_way_state, min_size=2, max_size=8),
+    cap_t=st.integers(1, 7),
+    requests=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_find_evictable_matches_the_victim_order_scan(num_threads, states, cap_t, requests):
+    """Random temporary-domain histories, with recency ties: every scan
+    returns the same way and leaves every owner mask as the victim-order
+    walk does.  A returned way is then refilled by the requester."""
+    ways = len(states)
+    cap_t = min(cap_t, ways - 1)
+    own = ThreadOwnership(num_threads)
+    full = (1 << num_threads) - 1
+    sets = [fresh_set(ways, cap_t), fresh_set(ways, cap_t)]
+    for cset in sets:
+        for way, state in enumerate(states):
+            if state is not None:
+                recency, mask = state
+                dom = cset.ways[way].domain
+                cset.install(way, way, dom, mask & full if dom is Domain.TEMPORARY else 0,
+                             CohState.SHARED, recency)
+    tag = ways
+    for thread, recency in requests:
+        thread %= num_threads
+        got = own.find_evictable(sets[0], thread)
+        want = _victim_order_find_evictable(own, sets[1], thread)
+        assert got == want
+        assert [m.owner_mask for m in sets[0].ways] == [m.owner_mask for m in sets[1].ways]
+        if got is not None:
+            for cset in sets:
+                cset.install(got, tag, Domain.TEMPORARY, own.bit(thread), CohState.SHARED, recency)
+            tag += 1
