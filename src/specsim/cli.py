@@ -72,10 +72,10 @@ def run_walkthrough() -> tuple[list[tuple[str, bool, list, list]], int]:
     check(WALKTHROUGH_STEPS[1][0], WALKTHROUGH_STEPS[1][1])
     level.access_inflight(c, 0, 2)
     check(WALKTHROUGH_STEPS[2][0], WALKTHROUGH_STEPS[2][1])
-    if level.apply_commit(a, 0).case is CommitCase.REINSTALLED:
+    if level.apply_commit(a).case is CommitCase.REINSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[3][0], WALKTHROUGH_STEPS[3][1])
-    if level.apply_commit(b, 0).case is CommitCase.REINSTALLED:
+    if level.apply_commit(b).case is CommitCase.REINSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[4][0], WALKTHROUGH_STEPS[4][1])
     level.apply_squash(c, 0)

@@ -191,7 +191,6 @@ class CacheLevel:
     def access_committed(
         self,
         line: int,
-        thread: int,
         coh_state: CohState = CohState.EXCLUSIVE,
     ) -> LevelAccess:
         """Non-speculative access: fills are persistent, temporary hits
@@ -231,7 +230,6 @@ class CacheLevel:
     def apply_commit(
         self,
         line: int,
-        thread: int,
         coh_state: CohState = CohState.EXCLUSIVE,
     ) -> CommitResult:
         """Commit notification for `line` at this level.
@@ -287,7 +285,7 @@ class CacheLevel:
         cset.invalidate(way)
         return True
 
-    def install_prefetch(self, line: int, thread: int, coh_state: CohState) -> LevelAccess:
+    def install_prefetch(self, line: int, coh_state: CohState) -> LevelAccess:
         """Prefetch fill: persistent, no recency refresh on a hit."""
         si = line & self._set_mask
         if line >> self._tag_shift in self.sets[si].index:

@@ -27,8 +27,8 @@ is committed on the spot, its L1 note and then its L2 note delivered
 directly, or its delayed access replayed.  That leaves exactly the
 state and counters of ``OPEN t w; LOAD t a w; COMMIT t w`` with an
 unused window id ``w``, because the buffer is empty whenever a window
-resolves and an access's L1 and L2 notes never merge; a one-entry
-buffer forces the L1 note out, which is counted as it would be.
+resolves and an access's L1 and L2 notes never merge; the buffer's
+``pass_through`` counts what its own policy would have forced out.
 """
 
 from __future__ import annotations
@@ -89,6 +89,11 @@ class _Pending:
     pend: SuspendedInstall
 
 
+# the window id of every probe: a probe's window never enters the
+# registry, and step() rejects negative ids in a trace
+PROBE_WINDOW = -1
+
+
 class Engine:
     def __init__(self, cfg: SimConfig) -> None:
         cfg.validate()
@@ -109,7 +114,6 @@ class Engine:
         self.windows = WindowRegistry()
         self.nfb = NotificationBuffer(cfg.nfb_capacity)
         self._pending: list[_Pending] = []
-        self._synth = -1
         self.report = SimReport(mode=cfg.mode)
         # read on every event; cfg.num_threads is a computed property
         self._nthreads = nthreads
@@ -129,14 +133,6 @@ class Engine:
 
     def _full_miss_latency(self, core: int, line: int) -> int:
         return self.cfg.latency.l1_hit + self._l2_latency(core, line) + self.cfg.latency.memory
-
-    def classify(self, latency: int) -> LatencyClass:
-        th = self.cfg.thresholds
-        if latency < th.hit_below:
-            return LatencyClass.HIT
-        if latency > th.miss_above:
-            return LatencyClass.MISS
-        return LatencyClass.AMBIGUOUS
 
     def fingerprint(self) -> tuple:
         return (
@@ -324,7 +320,7 @@ class Engine:
             grant = CohState.SHARED
 
         latency = self.cfg.latency.l1_hit
-        r1 = l1.access_committed(line, thread, grant)
+        r1 = l1.access_committed(line, grant)
         if r1.outcome is AccessOutcome.HIT:
             ctr["l1_hits"] += 1
             if r1.promoted:
@@ -332,7 +328,7 @@ class Engine:
         else:
             self._handle_l1_eviction(r1.evicted_line, core)
             latency += self._l2_latency(core, line)
-            r2 = self.l2.access_committed(line, thread, grant)
+            r2 = self.l2.access_committed(line, grant)
             if r2.outcome is AccessOutcome.HIT:
                 ctr["l2_hits"] += 1
                 if r2.promoted:
@@ -360,7 +356,7 @@ class Engine:
         if self.directory.grant_load(line, thread // self._smt, True).delayed:
             self.report.counters["prefetch_dropped"] += 1
             return
-        res = self.l2.install_prefetch(line, thread, CohState.SHARED)
+        res = self.l2.install_prefetch(line, CohState.SHARED)
         if res.outcome is AccessOutcome.MISS_INSTALLED:
             self._handle_l2_eviction(res.evicted_line)
             self.directory.note_l2_fill(line, CohState.SHARED)
@@ -411,7 +407,7 @@ class Engine:
             coh = self._committed_grant(line, core, is_store)[0]
             if coh is CohState.EXCLUSIVE:
                 coh = CohState.SHARED
-        res = level.apply_commit(line, thread, coh)
+        res = level.apply_commit(line, coh)
         if res.case is CommitCase.REINSTALLED:
             ctr["rsr_reinstalls"] += 1
             if level_id is LevelId.L2:
@@ -522,20 +518,17 @@ class Engine:
         else:
             # a one-shot window, committed on the spot (module docstring):
             # a suspended fill dies with it, as any window's does
-            wid = self._synth
-            self._synth -= 1
             ops: list = []
             pending = len(self._pending)
-            latency = self._inflight_access(thread, wid, ops, line, False, False)
+            latency = self._inflight_access(thread, PROBE_WINDOW, ops, line, False, False)
             del self._pending[pending:]
             ctr["windows_committed"] += 1
             nfb = self.nfb
             ((op, payload),) = ops
             if op is OpKind.ACCESS:
+                nfb.pass_through(2)
                 self._deliver(thread, line, LevelId.L1D, NotifKind.COMMIT, False)
                 self._deliver(thread, line, LevelId.L2, NotifKind.COMMIT, False)
-                if nfb.capacity == 1:
-                    nfb.forced_out += 1  # the L2 note forces the L1 note out
             else:
                 self._exec_deferred(op, payload, thread)
             ctr["nfb_merged"] = nfb.merged
@@ -593,7 +586,7 @@ class Engine:
         rec = None
         if window is not None:
             if window < 0:
-                # negative ids are the engine's own one-shot probe windows
+                # negative ids are reserved for the engine's probe windows
                 raise ValueError(f"window {window} is negative")
             if kind is not EventKind.OPEN:
                 rec = self.windows.get_open(window)

@@ -101,6 +101,16 @@ class NotificationBuffer:
         self._entries[key] = note
         return out
 
+    def pass_through(self, count: int) -> None:
+        """Count `count` distinct notes passing through this empty buffer
+        when the caller delivers them itself, in order, instead of
+        offering them and draining: the notes a full buffer would force
+        out on the way count as forced out, and none merge."""
+        if self._entries:
+            raise ValueError("pass_through needs an empty buffer")
+        if self.capacity and count > self.capacity:
+            self.forced_out += count - self.capacity
+
     def drain(self) -> list[Notification]:
         out = list(self._entries.values())
         self._entries.clear()

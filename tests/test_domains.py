@@ -39,13 +39,13 @@ def test_inflight_persistent_hit_does_not_touch_recency():
     a squashed window would otherwise leave an LRU footprint."""
     lv = make_level()
     a, b = lines_in_set(lv, 0, 2)
-    lv.access_committed(a, 0)
-    lv.access_committed(b, 0)
+    lv.access_committed(a)
+    lv.access_committed(b)
     before = lv.fingerprint()
     assert lv.access_inflight(a, 0, 1).outcome is AccessOutcome.HIT
     assert lv.fingerprint() == before
     # the deferred update arrives with the commit
-    res = lv.apply_commit(a, 0)
+    res = lv.apply_commit(a)
     assert res.case is CommitCase.TOUCHED
     assert lv.fingerprint() != before
 
@@ -53,9 +53,9 @@ def test_inflight_persistent_hit_does_not_touch_recency():
 def test_committed_persistent_hit_touches_immediately():
     lv = make_level()
     a = lines_in_set(lv, 0, 1)[0]
-    lv.access_committed(a, 0)
+    lv.access_committed(a)
     before = lv.fingerprint()
-    lv.access_committed(a, 0)
+    lv.access_committed(a)
     assert lv.fingerprint() != before
 
 
@@ -77,7 +77,7 @@ def test_inflight_install_never_evicts_persistent():
     lv = make_level(ways=4, cap_t=2)
     persist = lines_in_set(lv, 0, 2)
     for ln in persist:
-        lv.access_committed(ln, 0)
+        lv.access_committed(ln)
     extra = [lv.geometry.line_from(0, 50 + i) for i in range(6)]
     for ln in extra:
         lv.access_inflight(ln, 0, 1)
@@ -97,10 +97,12 @@ def test_per_set_temp_count_is_constant():
     rng = random.Random(7)
     for _ in range(500):
         line = rng.randrange(64)
-        if rng.random() < 0.5:
-            lv.access_inflight(line, rng.randrange(2), 1)
+        inflight = rng.random() < 0.5
+        thread = rng.randrange(2)
+        if inflight:
+            lv.access_inflight(line, thread, 1)
         else:
-            lv.access_committed(line, rng.randrange(2))
+            lv.access_committed(line)
         for cset in lv.sets:
             assert cset.count(Domain.TEMPORARY) == 3
 
@@ -164,7 +166,7 @@ def test_suspended_install_detects_present_line():
     mine = lv.geometry.line_from(0, 9)
     pend = lv.access_inflight(mine, 1, 2).suspended
     # a committed access brings the line in independently
-    lv.access_committed(mine, 1)
+    lv.access_committed(mine)
     assert lv.try_install_suspended(pend)[0] == "present"
 
 
@@ -175,10 +177,10 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
     lv = make_level(ways=4, cap_t=2)
     old = lines_in_set(lv, 0, 2)
     for ln in old:
-        lv.access_committed(ln, 0)
+        lv.access_committed(ln)
     line = lv.geometry.line_from(0, 9)
     lv.access_inflight(line, 0, 1)
-    res = lv.apply_commit(line, 0)
+    res = lv.apply_commit(line)
     assert res.case is CommitCase.PROMOTED
     # the LRU persistent line made room and its way joined the temporary pool
     assert res.evicted_line == old[0]
@@ -190,7 +192,7 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
 
 def test_apply_commit_absent_line_reinstalls():
     lv = make_level()
-    res = lv.apply_commit(64, 0, CohState.SHARED)
+    res = lv.apply_commit(64, CohState.SHARED)
     assert res.case is CommitCase.REINSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
     assert lv.coh_state_of(64) is CohState.SHARED
@@ -215,7 +217,7 @@ def test_apply_squash_shared_line_only_releases():
 
 def test_apply_squash_persistent_or_absent_is_noop():
     lv = make_level()
-    lv.access_committed(64, 0)
+    lv.access_committed(64)
     assert lv.apply_squash(64, 0) is False
     assert lv.resident_domain(64) is Domain.PERSISTENT
     assert lv.apply_squash(9999, 0) is False
@@ -228,7 +230,7 @@ def test_reconfigure_grow_keeps_contents():
     lv = make_level(ways=4, cap_t=1)
     a, b, c = lines_in_set(lv, 0, 3)
     for ln in (a, b, c):
-        lv.access_committed(ln, 0)
+        lv.access_committed(ln)
     res = lv.reconfigure(2)
     assert res.dropped_lines == []
     assert lv.cap_t == 2
@@ -266,10 +268,10 @@ def test_reconfigure_rejects_out_of_range():
 
 def test_install_prefetch_is_idempotent_and_persistent():
     lv = make_level()
-    res = lv.install_prefetch(64, 0, CohState.SHARED)
+    res = lv.install_prefetch(64, CohState.SHARED)
     assert res.outcome is AccessOutcome.MISS_INSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
-    again = lv.install_prefetch(64, 0, CohState.SHARED)
+    again = lv.install_prefetch(64, CohState.SHARED)
     assert again.outcome is AccessOutcome.HIT
 
 
@@ -292,15 +294,15 @@ def test_level_lookups_match_a_linear_scan(ops):
             if res.suspended is not None:
                 parked.append(res.suspended)
         elif op == "committed":
-            lv.access_committed(line, thread)
+            lv.access_committed(line)
         elif op == "commit":
-            lv.apply_commit(line, thread)
+            lv.apply_commit(line)
         elif op == "squash":
             lv.apply_squash(line, thread)
         elif op == "invalidate":
             lv.invalidate_line(line)
         elif op == "prefetch":
-            lv.install_prefetch(line, thread, CohState.SHARED)
+            lv.install_prefetch(line, CohState.SHARED)
         elif op == "retry" and parked:
             lv.try_install_suspended(parked.pop(0))
         elif op == "reconfigure":

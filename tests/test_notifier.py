@@ -66,6 +66,32 @@ def test_capacity_zero_forwards_immediately():
     assert len(buf) == 0
 
 
+@pytest.mark.parametrize("capacity", [0, 1, 2, 3, 16])
+def test_pass_through_counts_what_offer_and_drain_would(capacity):
+    for count in range(6):
+        offered = NotificationBuffer(capacity)
+        delivered = []
+        for line in range(count):
+            delivered += offered.offer(note(line=line))
+        delivered += offered.drain()
+        assert [n.line for n in delivered] == list(range(count))
+        passed = NotificationBuffer(capacity)
+        passed.pass_through(count)
+        assert (passed.merged, passed.forced_out, len(passed)) == (
+            offered.merged,
+            offered.forced_out,
+            0,
+        )
+
+
+def test_pass_through_needs_an_empty_buffer():
+    buf = NotificationBuffer(4)
+    buf.offer(note())
+    with pytest.raises(ValueError):
+        buf.pass_through(2)
+    assert buf.forced_out == 0
+
+
 def test_drain_is_fifo_and_empties():
     buf = NotificationBuffer(8)
     for line in (5, 3, 9):
