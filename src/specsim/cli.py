@@ -25,7 +25,8 @@ from .cache import LINE_SIZE, CacheGeometry, Domain, LevelId
 from .config import ConfigError, LevelParams, SimConfig, load_config
 from .domains import CacheLevel, CommitCase
 from .engine import Engine
-from .trace import TraceParseError, parse_trace
+from .notifier import UnknownWindow, WindowClosed
+from .trace import TraceParseError, parse_event
 
 
 # -- the single-set walkthrough -------------------------------------------
@@ -66,16 +67,16 @@ def run_walkthrough() -> tuple[list[tuple[str, bool, list, list]], int]:
         got = _set_state(level)
         results.append((name, got == expected, got, expected))
 
-    level.access_inflight(a, 0, 1)
+    level.access_inflight(a, 0)
     check(WALKTHROUGH_STEPS[0][0], WALKTHROUGH_STEPS[0][1])
-    level.access_inflight(b, 0, 1)
+    level.access_inflight(b, 0)
     check(WALKTHROUGH_STEPS[1][0], WALKTHROUGH_STEPS[1][1])
-    level.access_inflight(c, 0, 2)
+    level.access_inflight(c, 0)
     check(WALKTHROUGH_STEPS[2][0], WALKTHROUGH_STEPS[2][1])
-    if level.apply_commit(a).case is CommitCase.REINSTALLED:
+    if level.apply_commit(a) is CommitCase.REINSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[3][0], WALKTHROUGH_STEPS[3][1])
-    if level.apply_commit(b).case is CommitCase.REINSTALLED:
+    if level.apply_commit(b) is CommitCase.REINSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[4][0], WALKTHROUGH_STEPS[4][1])
     level.apply_squash(c, 0)
@@ -130,12 +131,22 @@ def _cmd_run(args) -> int:
     cfg = _build_config(args)
     try:
         with open(args.trace) as fh:
-            events = parse_trace(fh.read())
+            text = fh.read()
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 1
     engine = Engine(cfg)
-    report = engine.run(events)
+    # step line by line, so an event the engine rejects names its line
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        ev = parse_event(line, lineno)
+        if ev is None:
+            continue
+        try:
+            engine.step(ev)
+        except (ValueError, UnknownWindow, WindowClosed) as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            return 1
+    report = engine.report
     if not args.quiet:
         for o in report.observations:
             print(

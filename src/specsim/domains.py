@@ -27,15 +27,23 @@ line by a mask and a shift, and every fill picks its victim in one pass
 (the set's ``select_victim``, or the ownership scan for a gated
 temporary fill); only ``reconfigure`` walks a full ``victim_order``.
 Only fills, not lookups, grow with the associativity.
+
+The access paths return a plain :class:`AccessOutcome`, ``apply_commit``
+a :class:`CommitCase` and ``reconfigure`` the list of lines it dropped.
+A valid line that a fill or a promotion displaces is reported, once, to
+the level's ``on_evict`` hook, at the moment it leaves; the default
+hook does nothing, and the engine installs its own to keep the
+inclusive hierarchy and the directory in step.  Lines that an op drops
+on purpose (a squash, ``invalidate_line``, ``reconfigure``) are not
+reported: the caller already knows them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .cache import CacheGeometry, CacheSet, CohState, Domain
-from .ownership import AcquireResult, SuspendedInstall, ThreadOwnership
+from .ownership import AcquireResult, ThreadOwnership
 
 
 class CapacityOutOfRange(Exception):
@@ -47,6 +55,10 @@ class NotQuiescent(Exception):
 
 
 class AccessOutcome(Enum):
+    """What one level did with one access, a prefetch or a retried
+    fill.  For a retry, HIT means some other path already brought the
+    line in and MISS_BYPASSED that the fill is still blocked."""
+
     HIT = "hit"
     EMULATED_MISS = "emulated_miss"
     MISS_INSTALLED = "miss_installed"
@@ -57,27 +69,6 @@ class CommitCase(Enum):
     PROMOTED = "promoted"          # line was temporary: relabel swap
     TOUCHED = "touched"            # line already persistent: refresh LRU
     REINSTALLED = "reinstalled"    # line absent: fresh persistent fill
-
-
-@dataclass
-class LevelAccess:
-    """What one level did with one access."""
-
-    outcome: AccessOutcome
-    evicted_line: int | None = None
-    suspended: SuspendedInstall | None = None
-    promoted: bool = False
-
-
-@dataclass
-class CommitResult:
-    case: CommitCase
-    evicted_line: int | None = None
-
-
-@dataclass
-class ReconfigResult:
-    dropped_lines: list[int] = field(default_factory=list)
 
 
 class CacheLevel:
@@ -103,6 +94,11 @@ class CacheLevel:
         self._set_mask = geometry.num_sets - 1
         self._tag_shift = geometry.num_sets.bit_length() - 1
         self._clock = 0
+
+    def on_evict(self, line: int) -> None:
+        """Hook called with each valid line a fill or a promotion
+        displaces, once the line has left; an owner of the level may
+        replace it on the instance."""
 
     # -- bookkeeping -------------------------------------------------
 
@@ -140,16 +136,16 @@ class CacheLevel:
         self,
         line: int,
         thread: int,
-        window: int,
         coh_state: CohState = CohState.SHARED,
-        is_store: bool = False,
-    ) -> LevelAccess:
+    ) -> AccessOutcome:
         """Speculative access: hits observe, misses fill a temporary way.
 
         With the ownership protection on, a hit on a temporary line the
         thread does not yet own is reported as an emulated miss (the
         caller charges full miss latency) and the thread becomes an
-        owner, so the charge happens at most once per residency.
+        owner, so the charge happens at most once per residency.  A
+        fill that no temporary way can take is MISS_BYPASSED: the caller
+        parks it and retries it through ``try_install_suspended``.
         """
         si = line & self._set_mask
         cset = self.sets[si]
@@ -158,41 +154,32 @@ class CacheLevel:
             if cset.ways[way].domain is Domain.PERSISTENT:
                 # no touch: even replacement-state updates wait for the
                 # commit notification, or a squashed hit would leave a trace
-                return LevelAccess(AccessOutcome.HIT)
+                return AccessOutcome.HIT
             if self.protected:
                 res = self.ownership.check_and_acquire(cset, way, thread)
                 if res is AcquireResult.ACQUIRED_EMULATED_MISS:
-                    return LevelAccess(AccessOutcome.EMULATED_MISS)
+                    return AccessOutcome.EMULATED_MISS
             # temporary recency is install order: no touch on hit
-            return LevelAccess(AccessOutcome.HIT)
+            return AccessOutcome.HIT
 
         if self.cap_t == 0:
             # no temporary ways here: fall back to plain persistent fills
-            evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-            return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
+            self._install(si, line, Domain.PERSISTENT, 0, coh_state)
+            return AccessOutcome.MISS_INSTALLED
 
         way = None
         if self.protected:
             way = self.ownership.find_evictable(cset, thread)
             if way is None:
-                return LevelAccess(
-                    AccessOutcome.MISS_BYPASSED,
-                    suspended=SuspendedInstall(
-                        thread=thread,
-                        window=window,
-                        line=line,
-                        set_index=si,
-                        is_store=is_store,
-                    ),
-                )
-        evicted = self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh_state, way)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
+                return AccessOutcome.MISS_BYPASSED
+        self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh_state, way)
+        return AccessOutcome.MISS_INSTALLED
 
     def access_committed(
         self,
         line: int,
         coh_state: CohState = CohState.EXCLUSIVE,
-    ) -> LevelAccess:
+    ) -> AccessOutcome:
         """Non-speculative access: fills are persistent, temporary hits
         are promoted on the spot (the access itself is the commit)."""
         si = line & self._set_mask
@@ -202,28 +189,26 @@ class CacheLevel:
             if cset.ways[way].domain is Domain.PERSISTENT:
                 self._clock += 1
                 cset.touch(way, self._clock)
-                return LevelAccess(AccessOutcome.HIT)
-            evicted = self._promote(si, way)
-            return LevelAccess(AccessOutcome.HIT, evicted_line=evicted, promoted=True)
-        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
+            else:
+                self._promote(si, way)
+            return AccessOutcome.HIT
+        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
+        return AccessOutcome.MISS_INSTALLED
 
-    def try_install_suspended(self, pending: SuspendedInstall) -> tuple[str, int | None]:
-        """Retry a parked temporary fill.
-
-        Returns ("installed", evicted_line), ("present", None) when some
-        other path already brought the line in, or ("blocked", None).
-        """
-        cset = self.sets[pending.set_index]
-        tag = pending.line >> self._tag_shift
-        if tag in cset.index:
-            return "present", None
-        way = self.ownership.find_evictable(cset, pending.thread)
+    def try_install_suspended(self, line: int, thread: int, is_store: bool) -> AccessOutcome:
+        """Retry a parked temporary fill of `thread`: MISS_INSTALLED if
+        it landed, HIT if some other path already brought the line in,
+        MISS_BYPASSED if it is still blocked."""
+        si = line & self._set_mask
+        cset = self.sets[si]
+        if line >> self._tag_shift in cset.index:
+            return AccessOutcome.HIT
+        way = self.ownership.find_evictable(cset, thread)
         if way is None:
-            return "blocked", None
-        coh = CohState.MODIFIED if pending.is_store else CohState.SHARED
-        mask = self.ownership.bit(pending.thread)
-        return "installed", self._install(pending.set_index, pending.line, Domain.TEMPORARY, mask, coh, way)
+            return AccessOutcome.MISS_BYPASSED
+        coh = CohState.MODIFIED if is_store else CohState.SHARED
+        self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh, way)
+        return AccessOutcome.MISS_INSTALLED
 
     # -- window resolution -------------------------------------------
 
@@ -231,7 +216,7 @@ class CacheLevel:
         self,
         line: int,
         coh_state: CohState = CohState.EXCLUSIVE,
-    ) -> CommitResult:
+    ) -> CommitCase:
         """Commit notification for `line` at this level.
 
         (a) line is temporary: promote it into the persistent domain.
@@ -244,13 +229,13 @@ class CacheLevel:
         way = cset.index.get(line >> self._tag_shift)
         if way is not None:
             if cset.ways[way].domain is Domain.TEMPORARY:
-                evicted = self._promote(si, way)
-                return CommitResult(CommitCase.PROMOTED, evicted_line=evicted)
+                self._promote(si, way)
+                return CommitCase.PROMOTED
             self._clock += 1
             cset.touch(way, self._clock)
-            return CommitResult(CommitCase.TOUCHED)
-        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return CommitResult(CommitCase.REINSTALLED, evicted_line=evicted)
+            return CommitCase.TOUCHED
+        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
+        return CommitCase.REINSTALLED
 
     def apply_squash(self, line: int, thread: int) -> bool:
         """Squash notification: drop the thread's claim on the line.
@@ -285,27 +270,28 @@ class CacheLevel:
         cset.invalidate(way)
         return True
 
-    def install_prefetch(self, line: int, coh_state: CohState) -> LevelAccess:
+    def install_prefetch(self, line: int, coh_state: CohState) -> AccessOutcome:
         """Prefetch fill: persistent, no recency refresh on a hit."""
         si = line & self._set_mask
         if line >> self._tag_shift in self.sets[si].index:
-            return LevelAccess(AccessOutcome.HIT)
-        evicted = self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return LevelAccess(AccessOutcome.MISS_INSTALLED, evicted_line=evicted)
+            return AccessOutcome.HIT
+        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
+        return AccessOutcome.MISS_INSTALLED
 
-    def reconfigure(self, new_cap_t: int) -> ReconfigResult:
+    def reconfigure(self, new_cap_t: int) -> list[int]:
         """Relabel ways so every set has exactly `new_cap_t` temporary ways.
 
         Growing converts the least-recently-used persistent ways,
         keeping their contents (they surface with an empty owner mask).
         Shrinking converts temporary ways, dropping any speculative
         contents rather than silently blessing them as persistent.
+        Returns the dropped lines.
         """
         if not 0 <= new_cap_t < self.geometry.ways:
             raise CapacityOutOfRange(
                 f"cap_t={new_cap_t} must satisfy 0 <= cap_t < ways={self.geometry.ways}"
             )
-        result = ReconfigResult()
+        dropped: list[int] = []
         delta = new_cap_t - self.cap_t
         for si, cset in enumerate(self.sets):
             if delta > 0:
@@ -318,12 +304,12 @@ class CacheLevel:
                 for way in cset.victim_order(Domain.TEMPORARY)[: -delta]:
                     meta = cset.ways[way]
                     if meta.valid:
-                        result.dropped_lines.append(self.geometry.line_from(si, meta.tag))
+                        dropped.append(self.geometry.line_from(si, meta.tag))
                         cset.invalidate(way)
                     cset.relabel(way, Domain.PERSISTENT)
             assert cset.count(Domain.TEMPORARY) == new_cap_t
         self.cap_t = new_cap_t
-        return result
+        return dropped
 
     # -- internals ---------------------------------------------------
 
@@ -335,11 +321,11 @@ class CacheLevel:
         owner_mask: int,
         coh_state: CohState,
         way: int | None = None,
-    ) -> int | None:
+    ) -> None:
         """Fill `line` into `way` (by default the set's victim way of
-        `domain`); returns the line it evicted, if any.  `install`
-        overwrites a valid way in place, so the victim needs no
-        separate invalidation."""
+        `domain`) and report a line it evicts to ``on_evict``.
+        `install` overwrites a valid way in place, so the victim needs
+        no separate invalidation."""
         cset = self.sets[set_index]
         if way is None:
             way = cset.select_victim(domain)
@@ -347,10 +333,12 @@ class CacheLevel:
         evicted = meta.tag << self._tag_shift | set_index if meta.valid else None
         self._clock += 1
         cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state, self._clock)
-        return evicted
+        if evicted is not None:
+            self.on_evict(evicted)
 
-    def _promote(self, set_index: int, way: int) -> int | None:
-        """Swap the temporary line at `way` into the persistent domain."""
+    def _promote(self, set_index: int, way: int) -> None:
+        """Swap the temporary line at `way` into the persistent domain,
+        reporting the persistent victim it evicts to ``on_evict``."""
         cset = self.sets[set_index]
         victim = cset.select_victim(Domain.PERSISTENT)
         vmeta = cset.ways[victim]
@@ -363,7 +351,8 @@ class CacheLevel:
         cset.ways[way].owner_mask = 0
         self._clock += 1
         cset.touch(way, self._clock)
-        return evicted
+        if evicted is not None:
+            self.on_evict(evicted)
 
     # -- introspection -----------------------------------------------
 

@@ -33,6 +33,7 @@ resolves and an access's L1 and L2 notes never merge; the buffer's
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,8 +50,7 @@ from .notifier import (
     OpKind,
     WindowRegistry,
 )
-from .ownership import SuspendedInstall
-from .trace import EventKind, TraceEvent
+from .trace import MGMT_OPS, EventKind, TraceEvent
 
 
 class LatencyClass(Enum):
@@ -84,14 +84,26 @@ class SimReport:
 
 @dataclass
 class _Pending:
+    """A parked temporary fill awaiting a free way (see ownership)."""
+
     level: CacheLevel
     core: int
-    pend: SuspendedInstall
+    thread: int
+    window: int
+    line: int
+    is_store: bool
 
 
 # the window id of every probe: a probe's window never enters the
 # registry, and step() rejects negative ids in a trace
 PROBE_WINDOW = -1
+
+# the event kinds that step() rejects without an address, or without a window
+_NEEDS_ADDR = (
+    EventKind.LOAD, EventKind.STORE, EventKind.IFETCH, EventKind.PREFETCH,
+    EventKind.MGMT, EventKind.TLBMISS_LOAD, EventKind.MEASURE,
+)
+_NEEDS_WINDOW = (EventKind.OPEN, EventKind.COMMIT, EventKind.SQUASH, EventKind.TLBMISS_LOAD)
 
 
 class Engine:
@@ -119,8 +131,34 @@ class Engine:
         self._nthreads = nthreads
         self._smt = cfg.smt
         self._baseline = cfg.mode == "baseline"
+        self._hook_evictions()
 
     # -- plumbing ------------------------------------------------------
+
+    def _hook_evictions(self) -> None:
+        """Wire the levels' on_evict hooks, the one path by which a line
+        that a fill, a promotion or a commit-time re-install displaces
+        reaches the engine.  The L2's handler counts a back-invalidation
+        and drops the line's L1 copies and directory entry (inclusion);
+        core c's L1I and L1D handler clears c's sharer bit unless c's
+        other L1 still holds the line.  Each runs inside the level call,
+        right after the victim leaves, before the caller notes its fill.
+        """
+        # a weak proxy: hooks holding the engine itself would make an
+        # engine -> level -> hook -> engine cycle that only the cyclic
+        # GC frees, so a dropped engine would outlive its successor's build
+        me = weakref.proxy(self)
+
+        def l2_evicted(line: int) -> None:
+            me.report.counters["l2_back_invalidations"] += 1
+            me._back_invalidate(line)
+
+        self.l2.on_evict = l2_evicted
+        for core in range(self.cfg.cores):
+            def l1_evicted(line: int, core: int = core) -> None:
+                me._l1_presence_refresh(line, core)
+
+            self.l1i[core].on_evict = self.l1d[core].on_evict = l1_evicted
 
     def core_of(self, thread: int) -> int:
         return thread // self._smt
@@ -168,15 +206,6 @@ class Engine:
         self._invalidate_l1_copies(line, self.directory.sharers(line))
         self.directory.drop(line)
 
-    def _handle_l1_eviction(self, evicted: int | None, core: int) -> None:
-        if evicted is not None:
-            self._l1_presence_refresh(evicted, core)
-
-    def _handle_l2_eviction(self, evicted: int | None) -> None:
-        if evicted is not None:
-            self.report.counters["l2_back_invalidations"] += 1
-            self._back_invalidate(evicted)
-
     # -- speculative access path -----------------------------------------
 
     def _inflight_access(
@@ -207,34 +236,30 @@ class Engine:
             return self._full_miss_latency(core, line)
 
         latency = self.cfg.latency.l1_hit
-        r1 = l1.access_inflight(line, thread, window_id, grant, is_store)
-        terminal_hit = r1.outcome is AccessOutcome.HIT
-        if r1.outcome is AccessOutcome.MISS_INSTALLED:
-            self._handle_l1_eviction(r1.evicted_line, core)
-            self.directory.note_l1_fill(line, core, grant)
-        elif r1.outcome is AccessOutcome.MISS_BYPASSED:
-            ctr["suspended_installs"] += 1
-            self._pending.append(_Pending(l1, core, r1.suspended))
-        elif r1.outcome is AccessOutcome.EMULATED_MISS:
-            ctr["emulated_misses"] += 1
-
-        if terminal_hit:
+        r1 = l1.access_inflight(line, thread, grant)
+        if r1 is AccessOutcome.HIT:
             ctr["l1_hits"] += 1
         else:
+            if r1 is AccessOutcome.MISS_INSTALLED:
+                self.directory.note_l1_fill(line, core, grant)
+            elif r1 is AccessOutcome.MISS_BYPASSED:
+                ctr["suspended_installs"] += 1
+                self._pending.append(_Pending(l1, core, thread, window_id, line, is_store))
+            else:
+                ctr["emulated_misses"] += 1
             latency += self._l2_latency(core, line)
-            r2 = self.l2.access_inflight(line, thread, window_id, grant, is_store)
-            if r2.outcome is AccessOutcome.HIT:
+            r2 = self.l2.access_inflight(line, thread, grant)
+            if r2 is AccessOutcome.HIT:
                 ctr["l2_hits"] += 1
             else:
                 latency += self.cfg.latency.memory
                 ctr["memory_fills"] += 1
-                if r2.outcome is AccessOutcome.MISS_INSTALLED:
-                    self._handle_l2_eviction(r2.evicted_line)
+                if r2 is AccessOutcome.MISS_INSTALLED:
                     self.directory.note_l2_fill(line, grant)
-                elif r2.outcome is AccessOutcome.MISS_BYPASSED:
+                elif r2 is AccessOutcome.MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
-                    self._pending.append(_Pending(self.l2, core, r2.suspended))
-                elif r2.outcome is AccessOutcome.EMULATED_MISS:
+                    self._pending.append(_Pending(self.l2, core, thread, window_id, line, is_store))
+                else:
                     ctr["emulated_misses"] += 1
 
         if is_store:
@@ -320,23 +345,15 @@ class Engine:
             grant = CohState.SHARED
 
         latency = self.cfg.latency.l1_hit
-        r1 = l1.access_committed(line, grant)
-        if r1.outcome is AccessOutcome.HIT:
+        if l1.access_committed(line, grant) is AccessOutcome.HIT:
             ctr["l1_hits"] += 1
-            if r1.promoted:
-                self._handle_l1_eviction(r1.evicted_line, core)
         else:
-            self._handle_l1_eviction(r1.evicted_line, core)
             latency += self._l2_latency(core, line)
-            r2 = self.l2.access_committed(line, grant)
-            if r2.outcome is AccessOutcome.HIT:
+            if self.l2.access_committed(line, grant) is AccessOutcome.HIT:
                 ctr["l2_hits"] += 1
-                if r2.promoted:
-                    self._handle_l2_eviction(r2.evicted_line)
             else:
                 latency += self.cfg.latency.memory
                 ctr["memory_fills"] += 1
-                self._handle_l2_eviction(r2.evicted_line)
                 self.directory.note_l2_fill(line, grant)
             self.directory.note_l1_fill(line, core, grant)
 
@@ -356,9 +373,7 @@ class Engine:
         if self.directory.grant_load(line, thread // self._smt, True).delayed:
             self.report.counters["prefetch_dropped"] += 1
             return
-        res = self.l2.install_prefetch(line, CohState.SHARED)
-        if res.outcome is AccessOutcome.MISS_INSTALLED:
-            self._handle_l2_eviction(res.evicted_line)
+        if self.l2.install_prefetch(line, CohState.SHARED) is AccessOutcome.MISS_INSTALLED:
             self.directory.note_l2_fill(line, CohState.SHARED)
             self.report.counters["prefetch_fills"] += 1
 
@@ -407,21 +422,15 @@ class Engine:
             coh = self._committed_grant(line, core, is_store)[0]
             if coh is CohState.EXCLUSIVE:
                 coh = CohState.SHARED
-        res = level.apply_commit(line, coh)
-        if res.case is CommitCase.REINSTALLED:
+        case = level.apply_commit(line, coh)
+        if case is CommitCase.REINSTALLED:
             ctr["rsr_reinstalls"] += 1
             if level_id is LevelId.L2:
-                self._handle_l2_eviction(res.evicted_line)
                 self.directory.note_l2_fill(line, coh)
             else:
-                self._handle_l1_eviction(res.evicted_line, core)
                 self.directory.note_l1_fill(line, core, coh)
-        elif res.case is CommitCase.PROMOTED:
+        elif case is CommitCase.PROMOTED:
             ctr["lines_promoted"] += 1
-            if level_id is LevelId.L2:
-                self._handle_l2_eviction(res.evicted_line)
-            else:
-                self._handle_l1_eviction(res.evicted_line, core)
         if is_store:
             # regardless of how the line got here (promoted in place,
             # touched, or fetched back), a committing store must leave
@@ -460,7 +469,7 @@ class Engine:
         op kinds; a squash drops them.
         """
         rec = self.windows.close(window_id)
-        self._pending = [p for p in self._pending if p.pend.window != window_id]
+        self._pending = [p for p in self._pending if p.window != window_id]
         commit = kind is NotifKind.COMMIT
         ctr = self.report.counters
         ctr["windows_committed" if commit else "windows_squashed"] += 1
@@ -490,22 +499,20 @@ class Engine:
             progress = False
             keep: list[_Pending] = []
             for p in self._pending:
-                status, evicted = p.level.try_install_suspended(p.pend)
-                if status == "installed":
+                status = p.level.try_install_suspended(p.line, p.thread, p.is_store)
+                if status is AccessOutcome.MISS_INSTALLED:
                     progress = True
                     self.report.counters["retried_installs"] += 1
-                    state = CohState.MODIFIED if p.pend.is_store else CohState.SHARED
+                    state = CohState.MODIFIED if p.is_store else CohState.SHARED
                     if p.level is self.l2:
-                        self._handle_l2_eviction(evicted)
-                        self.directory.note_l2_fill(p.pend.line, state)
-                        if p.pend.is_store:
-                            self.directory.upgrade_for_store(p.pend.line, p.core)
+                        self.directory.note_l2_fill(p.line, state)
+                        if p.is_store:
+                            self.directory.upgrade_for_store(p.line, p.core)
                     else:
-                        self._handle_l1_eviction(evicted, p.core)
-                        self.directory.note_l1_fill(p.pend.line, p.core, state)
-                elif status == "blocked":
+                        self.directory.note_l1_fill(p.line, p.core, state)
+                elif status is AccessOutcome.MISS_BYPASSED:
                     keep.append(p)
-                # "present": some other path brought the line in; drop it
+                # HIT: some other path brought the line in; drop it
             self._pending = keep
 
     # -- measurement -----------------------------------------------------
@@ -559,12 +566,12 @@ class Engine:
         if self.windows.any_open():
             raise NotQuiescent("cannot reconfigure while speculative windows are open")
         if level_name == "l2":
-            for line in self.l2.reconfigure(new_cap_t).dropped_lines:
+            for line in self.l2.reconfigure(new_cap_t):
                 self._back_invalidate(line)
         elif level_name in ("l1i", "l1d"):
             bank = self.l1i if level_name == "l1i" else self.l1d
             for core, lv in enumerate(bank):
-                for line in lv.reconfigure(new_cap_t).dropped_lines:
+                for line in lv.reconfigure(new_cap_t):
                     self._l1_presence_refresh(line, core)
         else:
             raise ValueError(f"unknown level {level_name!r}")
@@ -579,12 +586,20 @@ class Engine:
         # the engine exactly as it was
         if not 0 <= thread < self._nthreads:
             raise ValueError(f"thread {thread} out of range 0..{self._nthreads - 1}")
-        if addr is not None:
+        if addr is None:
+            if kind in _NEEDS_ADDR:
+                raise ValueError(f"{kind.value} event has no address")
+        else:
             if addr < 0:
                 raise ValueError(f"address {addr} is negative")
             line = (addr & ADDR_MASK) // LINE_SIZE
+        if kind is EventKind.MGMT and ev.mgmt_op not in MGMT_OPS:
+            raise ValueError(f"MGMT event has no mgmt_op from {MGMT_OPS}: {ev.mgmt_op!r}")
         rec = None
-        if window is not None:
+        if window is None:
+            if kind in _NEEDS_WINDOW:
+                raise ValueError(f"{kind.value} event has no window")
+        else:
             if window < 0:
                 # negative ids are reserved for the engine's probe windows
                 raise ValueError(f"window {window} is negative")

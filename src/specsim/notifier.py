@@ -30,11 +30,11 @@ from .cache import LevelId
 
 
 class UnknownWindow(Exception):
-    """Operation names a window id that was never opened."""
+    """Operation names a window id that is not open."""
 
 
 class WindowClosed(Exception):
-    """Operation targets a window that already committed or squashed."""
+    """Opening an id that is already open, or logging to a closed record."""
 
 
 class OpKind(IntEnum):
@@ -146,21 +146,18 @@ class WindowRecord:
 class WindowRegistry:
     """The open windows by id.
 
-    A window's record leaves the registry when it closes; the caller
-    that closed it keeps the returned record for as long as it walks
-    the log.  Only the ids of closed windows are remembered, so naming
-    one again still raises WindowClosed (never-opened ids raise
-    UnknownWindow), and a closed id may be opened afresh.
+    A window leaves the registry when it closes, and nothing of it is
+    kept: the caller that closed it keeps the returned record for as
+    long as it walks the log, naming the id again raises UnknownWindow
+    just as for an id never opened, and the id may be opened afresh.
     """
 
     def __init__(self) -> None:
         self._windows: dict[int, WindowRecord] = {}
-        self._closed: set[int] = set()
 
     def open(self, window_id: int, thread: int) -> WindowRecord:
         if window_id in self._windows:
             raise WindowClosed(f"window {window_id} is already open")
-        self._closed.discard(window_id)
         rec = WindowRecord(window_id=window_id, thread=thread)
         self._windows[window_id] = rec
         return rec
@@ -168,15 +165,12 @@ class WindowRegistry:
     def get_open(self, window_id: int) -> WindowRecord:
         rec = self._windows.get(window_id)
         if rec is None:
-            if window_id in self._closed:
-                raise WindowClosed(f"window {window_id} is closed")
-            raise UnknownWindow(f"window {window_id} was never opened")
+            raise UnknownWindow(f"window {window_id} is not open")
         return rec
 
     def close(self, window_id: int) -> WindowRecord:
         rec = self.get_open(window_id)
         del self._windows[window_id]
-        self._closed.add(window_id)
         rec.is_open = False
         return rec
 

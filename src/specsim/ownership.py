@@ -26,7 +26,6 @@ no emulated misses, no suspensions, eviction always succeeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .cache import CacheSet, Domain
@@ -35,17 +34,6 @@ from .cache import CacheSet, Domain
 class AcquireResult(Enum):
     OWNED_HIT = "owned_hit"
     ACQUIRED_EMULATED_MISS = "acquired_emulated_miss"
-
-
-@dataclass
-class SuspendedInstall:
-    """A parked temporary-domain install awaiting a free way."""
-
-    thread: int
-    window: int
-    line: int
-    set_index: int
-    is_store: bool = False
 
 
 class ThreadOwnership:

@@ -55,3 +55,18 @@ def test_bad_trace_file_reports_error(tmp_path, capsys):
     trace.write_text("FROB t0 0x1000\n")
     assert main(["run", str(trace)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_rejected_event_names_its_trace_line(tmp_path, capsys):
+    trace = tmp_path / "steal.trace"
+    trace.write_text(
+        "OPEN t0 w1\n"
+        "LOAD t0 0x1000 w1\n"
+        "# t1 tries to commit t0's window\n"
+        "COMMIT t1 w1\n"
+    )
+    assert main(["run", str(trace)]) == 1
+    captured = capsys.readouterr()
+    # the fourth line of the file, not the third event
+    assert captured.err == "error: line 4: window 1 belongs to thread 0, not 1\n"
+    assert captured.out == ""

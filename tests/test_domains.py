@@ -29,8 +29,7 @@ def lines_in_set(level, si, n):
 
 def test_inflight_miss_installs_temporary():
     lv = make_level()
-    res = lv.access_inflight(64, 0, 1)
-    assert res.outcome is AccessOutcome.MISS_INSTALLED
+    assert lv.access_inflight(64, 0) is AccessOutcome.MISS_INSTALLED
     assert lv.resident_domain(64) is Domain.TEMPORARY
 
 
@@ -42,11 +41,10 @@ def test_inflight_persistent_hit_does_not_touch_recency():
     lv.access_committed(a)
     lv.access_committed(b)
     before = lv.fingerprint()
-    assert lv.access_inflight(a, 0, 1).outcome is AccessOutcome.HIT
+    assert lv.access_inflight(a, 0) is AccessOutcome.HIT
     assert lv.fingerprint() == before
     # the deferred update arrives with the commit
-    res = lv.apply_commit(a)
-    assert res.case is CommitCase.TOUCHED
+    assert lv.apply_commit(a) is CommitCase.TOUCHED
     assert lv.fingerprint() != before
 
 
@@ -62,13 +60,13 @@ def test_committed_persistent_hit_touches_immediately():
 def test_temporary_recency_is_install_order():
     lv = make_level(cap_t=2)
     a, b = lines_in_set(lv, 0, 2)
-    lv.access_inflight(a, 0, 1)
-    lv.access_inflight(b, 0, 1)
+    lv.access_inflight(a, 0)
+    lv.access_inflight(b, 0)
     # hitting a again must not refresh it ...
-    lv.access_inflight(a, 0, 1)
+    lv.access_inflight(a, 0)
     c = lines_in_set(lv, 0, 3)[2]
     # ... so the third fill evicts a, the oldest install
-    lv.access_inflight(c, 0, 1)
+    lv.access_inflight(c, 0)
     assert lv.resident_domain(a) is None
     assert lv.resident_domain(b) is Domain.TEMPORARY
 
@@ -80,15 +78,14 @@ def test_inflight_install_never_evicts_persistent():
         lv.access_committed(ln)
     extra = [lv.geometry.line_from(0, 50 + i) for i in range(6)]
     for ln in extra:
-        lv.access_inflight(ln, 0, 1)
+        lv.access_inflight(ln, 0)
     for ln in persist:
         assert lv.resident_domain(ln) is Domain.PERSISTENT
 
 
 def test_cap_zero_falls_back_to_persistent_fills():
     lv = make_level(cap_t=0)
-    res = lv.access_inflight(64, 0, 1)
-    assert res.outcome is AccessOutcome.MISS_INSTALLED
+    assert lv.access_inflight(64, 0) is AccessOutcome.MISS_INSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
 
 
@@ -100,7 +97,7 @@ def test_per_set_temp_count_is_constant():
         inflight = rng.random() < 0.5
         thread = rng.randrange(2)
         if inflight:
-            lv.access_inflight(line, thread, 1)
+            lv.access_inflight(line, thread)
         else:
             lv.access_committed(line)
         for cset in lv.sets:
@@ -113,30 +110,26 @@ def test_per_set_temp_count_is_constant():
 def test_unowned_temporary_hit_is_emulated_miss_once():
     lv = make_level(protected=True)
     line = 64
-    lv.access_inflight(line, 0, 1)
-    res = lv.access_inflight(line, 1, 2)
-    assert res.outcome is AccessOutcome.EMULATED_MISS
+    lv.access_inflight(line, 0)
+    assert lv.access_inflight(line, 1) is AccessOutcome.EMULATED_MISS
     # ownership was acquired, so the charge happens once per residency
-    res = lv.access_inflight(line, 1, 2)
-    assert res.outcome is AccessOutcome.HIT
+    assert lv.access_inflight(line, 1) is AccessOutcome.HIT
 
 
 def test_owner_hit_is_plain_hit():
     lv = make_level(protected=True)
-    lv.access_inflight(64, 0, 1)
-    assert lv.access_inflight(64, 0, 1).outcome is AccessOutcome.HIT
+    lv.access_inflight(64, 0)
+    assert lv.access_inflight(64, 0) is AccessOutcome.HIT
 
 
 def test_full_foreign_set_suspends_install():
     lv = make_level(ways=4, cap_t=2, protected=True)
     foreign = lines_in_set(lv, 0, 2)
     for ln in foreign:
-        assert lv.access_inflight(ln, 0, 1).outcome is AccessOutcome.MISS_INSTALLED
+        assert lv.access_inflight(ln, 0) is AccessOutcome.MISS_INSTALLED
     mine = lv.geometry.line_from(0, 9)
-    res = lv.access_inflight(mine, 1, 2)
-    assert res.outcome is AccessOutcome.MISS_BYPASSED
-    assert res.suspended is not None
-    assert res.suspended.line == mine
+    assert lv.access_inflight(mine, 1) is AccessOutcome.MISS_BYPASSED
+    assert lv.resident_domain(mine) is None
     # nothing foreign was displaced
     for ln in foreign:
         assert lv.resident_domain(ln) is Domain.TEMPORARY
@@ -146,15 +139,16 @@ def test_suspended_install_retries_after_squash():
     lv = make_level(ways=4, cap_t=2, protected=True)
     foreign = lines_in_set(lv, 0, 2)
     for ln in foreign:
-        lv.access_inflight(ln, 0, 1)
+        lv.access_inflight(ln, 0)
     mine = lv.geometry.line_from(0, 9)
-    pend = lv.access_inflight(mine, 1, 2).suspended
-    assert lv.try_install_suspended(pend)[0] == "blocked"
+    assert lv.access_inflight(mine, 1) is AccessOutcome.MISS_BYPASSED
+    assert lv.try_install_suspended(mine, 1, False) is AccessOutcome.MISS_BYPASSED
     for ln in foreign:
         lv.apply_squash(ln, 0)
-    status, evicted = lv.try_install_suspended(pend)
-    assert status == "installed"
-    assert evicted is None
+    evicted = []
+    lv.on_evict = evicted.append
+    assert lv.try_install_suspended(mine, 1, False) is AccessOutcome.MISS_INSTALLED
+    assert evicted == []
     assert lv.resident_domain(mine) is Domain.TEMPORARY
 
 
@@ -162,12 +156,12 @@ def test_suspended_install_detects_present_line():
     lv = make_level(ways=4, cap_t=2, protected=True)
     foreign = lines_in_set(lv, 0, 2)
     for ln in foreign:
-        lv.access_inflight(ln, 0, 1)
+        lv.access_inflight(ln, 0)
     mine = lv.geometry.line_from(0, 9)
-    pend = lv.access_inflight(mine, 1, 2).suspended
+    assert lv.access_inflight(mine, 1) is AccessOutcome.MISS_BYPASSED
     # a committed access brings the line in independently
     lv.access_committed(mine)
-    assert lv.try_install_suspended(pend)[0] == "present"
+    assert lv.try_install_suspended(mine, 1, False) is AccessOutcome.HIT
 
 
 # -- commit/squash notifications --------------------------------------------
@@ -179,11 +173,12 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
     for ln in old:
         lv.access_committed(ln)
     line = lv.geometry.line_from(0, 9)
-    lv.access_inflight(line, 0, 1)
-    res = lv.apply_commit(line)
-    assert res.case is CommitCase.PROMOTED
+    lv.access_inflight(line, 0)
+    evicted = []
+    lv.on_evict = evicted.append
+    assert lv.apply_commit(line) is CommitCase.PROMOTED
     # the LRU persistent line made room and its way joined the temporary pool
-    assert res.evicted_line == old[0]
+    assert evicted == [old[0]]
     assert lv.resident_domain(line) is Domain.PERSISTENT
     assert lv.resident_domain(old[1]) is Domain.PERSISTENT
     for cset in lv.sets:
@@ -192,23 +187,22 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
 
 def test_apply_commit_absent_line_reinstalls():
     lv = make_level()
-    res = lv.apply_commit(64, CohState.SHARED)
-    assert res.case is CommitCase.REINSTALLED
+    assert lv.apply_commit(64, CohState.SHARED) is CommitCase.REINSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
     assert lv.coh_state_of(64) is CohState.SHARED
 
 
 def test_apply_squash_sole_owner_invalidates():
     lv = make_level()
-    lv.access_inflight(64, 0, 1)
+    lv.access_inflight(64, 0)
     assert lv.apply_squash(64, 0) is True
     assert lv.resident_domain(64) is None
 
 
 def test_apply_squash_shared_line_only_releases():
     lv = make_level(protected=True)
-    lv.access_inflight(64, 0, 1)
-    lv.access_inflight(64, 1, 2)  # emulated miss acquires ownership
+    lv.access_inflight(64, 0)
+    lv.access_inflight(64, 1)  # emulated miss acquires ownership
     assert lv.apply_squash(64, 0) is False
     assert lv.resident_domain(64) is Domain.TEMPORARY
     assert lv.apply_squash(64, 1) is True
@@ -231,8 +225,7 @@ def test_reconfigure_grow_keeps_contents():
     a, b, c = lines_in_set(lv, 0, 3)
     for ln in (a, b, c):
         lv.access_committed(ln)
-    res = lv.reconfigure(2)
-    assert res.dropped_lines == []
+    assert lv.reconfigure(2) == []
     assert lv.cap_t == 2
     for cset in lv.sets:
         assert cset.count(Domain.TEMPORARY) == 2
@@ -249,10 +242,10 @@ def test_reconfigure_shrink_drops_oldest_temporaries():
     lv = make_level(ways=8, cap_t=3)
     t1, t2, t3 = lines_in_set(lv, 0, 3)
     for ln in (t1, t2, t3):
-        lv.access_inflight(ln, 0, 1)
-    res = lv.reconfigure(1)
+        lv.access_inflight(ln, 0)
+    dropped = lv.reconfigure(1)
     assert lv.cap_t == 1
-    assert set(res.dropped_lines) == {t1, t2}
+    assert set(dropped) == {t1, t2}
     assert lv.resident_domain(t3) is Domain.TEMPORARY
     for cset in lv.sets:
         assert cset.count(Domain.TEMPORARY) == 1
@@ -268,11 +261,9 @@ def test_reconfigure_rejects_out_of_range():
 
 def test_install_prefetch_is_idempotent_and_persistent():
     lv = make_level()
-    res = lv.install_prefetch(64, CohState.SHARED)
-    assert res.outcome is AccessOutcome.MISS_INSTALLED
+    assert lv.install_prefetch(64, CohState.SHARED) is AccessOutcome.MISS_INSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
-    again = lv.install_prefetch(64, CohState.SHARED)
-    assert again.outcome is AccessOutcome.HIT
+    assert lv.install_prefetch(64, CohState.SHARED) is AccessOutcome.HIT
 
 
 @given(st.lists(st.tuples(st.sampled_from(["inflight", "committed", "commit", "squash",
@@ -283,32 +274,43 @@ def test_install_prefetch_is_idempotent_and_persistent():
 @settings(max_examples=200)
 def test_level_lookups_match_a_linear_scan(ops):
     """Whatever a level goes through, its line lookups agree with a scan
-    of the set's ways and every set's victim choice is the head of its
-    victim order."""
+    of the set's ways, every set's victim choice is the head of its
+    victim order, and every line that leaves the level is reported to
+    the on_evict hook exactly once, unless the op itself dropped it."""
     lv = make_level(num_sets=2, ways=4, cap_t=2, protected=True)
+    reported = []
+    lv.on_evict = reported.append
     parked = []
     for op, i, thread in ops:
         line = 64 + i
+        before = lv.resident_lines()
+        reported.clear()
+        dropped = []
         if op == "inflight":
-            res = lv.access_inflight(line, thread, 1)
-            if res.suspended is not None:
-                parked.append(res.suspended)
+            if lv.access_inflight(line, thread) is AccessOutcome.MISS_BYPASSED:
+                parked.append((line, thread))
         elif op == "committed":
             lv.access_committed(line)
         elif op == "commit":
             lv.apply_commit(line)
         elif op == "squash":
-            lv.apply_squash(line, thread)
+            if lv.apply_squash(line, thread):
+                dropped.append(line)
         elif op == "invalidate":
-            lv.invalidate_line(line)
+            if lv.invalidate_line(line):
+                dropped.append(line)
         elif op == "prefetch":
             lv.install_prefetch(line, CohState.SHARED)
         elif op == "retry" and parked:
-            lv.try_install_suspended(parked.pop(0))
+            lv.try_install_suspended(*parked.pop(0), False)
         elif op == "reconfigure":
             # reconfiguring needs quiescence: parked fills died with their windows
             parked.clear()
-            lv.reconfigure(i % 4)
+            dropped = lv.reconfigure(i % 4)
+        after = lv.resident_lines()
+        assert len(reported) == len(set(reported))
+        assert set(reported) <= before - after
+        assert before - after <= set(reported) | set(dropped)
         for ln in range(64, 76):
             si = lv.geometry.set_index(ln)
             tag = lv.geometry.tag(ln)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -11,7 +13,7 @@ from specsim.domains import NotQuiescent
 from specsim import attacks
 from specsim.engine import Engine, LatencyClass, run_trace
 from specsim.notifier import UnknownWindow
-from specsim.trace import EventKind, TraceEvent
+from specsim.trace import MGMT_OPS, EventKind, TraceEvent
 
 from conftest import small_config
 from gentraces import random_events
@@ -444,6 +446,65 @@ def test_negative_address_or_window_is_rejected_before_anything_changes(mode):
         assert eng.windows.get_open(1).thread == 0
         assert not eng.report.observations
     assert not eng.l2.resident_lines() - {addr // LINE_SIZE}
+
+
+@pytest.mark.parametrize("mode", ["specbox", "baseline"])
+def test_event_missing_a_field_is_rejected_before_anything_changes(mode):
+    """An event built through the API without a field its kind needs is
+    a ValueError naming the kind and the field, with nothing changed,
+    whether or not the window it names is open."""
+    K = EventKind
+    cfg = small_config(mode=mode)
+    addr = local_addr(cfg, core=0)
+    missing_addr = [
+        TraceEvent(kind, thread=0, window=window, mgmt_op=op)
+        for kind, window, op in (
+            (K.LOAD, None, None), (K.LOAD, 1, None), (K.STORE, None, None),
+            (K.IFETCH, 1, None), (K.PREFETCH, None, None), (K.MGMT, None, "flush"),
+            (K.MGMT, 1, "invd"), (K.TLBMISS_LOAD, 1, None), (K.MEASURE, None, None),
+        )
+    ]
+    missing_window = [
+        TraceEvent(kind, thread=0, addr=address)
+        for kind, address in ((K.OPEN, None), (K.COMMIT, None), (K.SQUASH, None), (K.TLBMISS_LOAD, addr))
+    ]
+    assert "clean" not in MGMT_OPS
+    missing_op = [TraceEvent(K.MGMT, thread=0, addr=addr, window=w, mgmt_op=op)
+                  for w in (None, 1) for op in (None, "clean")]
+    cases = ([(ev, "address") for ev in missing_addr]
+             + [(ev, "window") for ev in missing_window]
+             + [(ev, "mgmt_op") for ev in missing_op])
+    eng = Engine(cfg)
+    eng.step(TraceEvent.load(0, addr))
+    for opened in (False, True):
+        if opened:
+            eng.step(TraceEvent.open(0, 1))
+            eng.step(TraceEvent.load(0, addr + LINE_SIZE, 1))
+        before = _snapshot(eng)
+        for ev, what in cases:
+            with pytest.raises(ValueError, match=f"{ev.kind.value} event has no {what}"):
+                eng.step(ev)
+            assert _snapshot(eng) == before, ev
+    eng.step(TraceEvent.commit(0, 1))
+    assert not eng.windows.any_open()
+
+
+@pytest.mark.parametrize("mode", ["specbox", "baseline"])
+def test_engine_is_freed_without_the_cyclic_gc(mode):
+    """Nothing in an engine refers back to it, so dropping the last
+    reference frees it at once, before the next one is built."""
+    cfg = small_config(mode=mode)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        eng = Engine(cfg)
+        eng.run(random_events(random.Random(3), cfg, 200))
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- the direct probe commit ---------------------------------------------------

@@ -125,7 +125,7 @@ def test_open_close_lifecycle():
     assert reg.get_open(1).thread == 0
     rec = reg.close(1)
     assert not rec.is_open
-    with pytest.raises(WindowClosed):
+    with pytest.raises(UnknownWindow, match="window 1 is not open"):
         reg.get_open(1)
 
 
@@ -165,8 +165,8 @@ def test_any_open_until_every_window_closes():
 
 
 def test_closed_windows_are_released():
-    """Closing drops the window's record; only the errors for its id
-    remain, so a long trace holds just the windows still open."""
+    """Closing drops the window's record, so a long trace holds just
+    the windows still open; a closed id reads as one never opened."""
     reg = WindowRegistry()
     reg.open(-1, thread=1)
     closed = []
@@ -176,7 +176,7 @@ def test_closed_windows_are_released():
     gc.collect()
     assert all(ref() is None for ref in closed)
     assert reg.get_open(-1).thread == 1
-    with pytest.raises(WindowClosed):
+    with pytest.raises(UnknownWindow):
         reg.get_open(9_999)
     with pytest.raises(UnknownWindow):
         reg.get_open(10_000)
@@ -184,3 +184,16 @@ def test_closed_windows_are_released():
     assert not reg.any_open()
     reg.open(5, thread=1)
     assert reg.get_open(5).thread == 1
+
+
+def test_registry_keeps_nothing_of_closed_windows():
+    reg = WindowRegistry()
+    for wid in range(10_000):
+        reg.open(wid, thread=0)
+        reg.close(wid)
+    assert not reg.any_open()
+    # no container in the registry holds anything once every window closed
+    assert all(not value for value in vars(reg).values())
+    for wid in (0, 9_999):
+        with pytest.raises(UnknownWindow, match=f"window {wid} is not open"):
+            reg.close(wid)
