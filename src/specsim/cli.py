@@ -116,9 +116,10 @@ def _build_config(args) -> SimConfig:
     overrides = {}
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
-    if getattr(args, "cores", None):
+    # 0 is a value to validate, not an absent option
+    if getattr(args, "cores", None) is not None:
         overrides["cores"] = args.cores
-    if getattr(args, "smt", None):
+    if getattr(args, "smt", None) is not None:
         overrides["smt"] = args.smt
     if getattr(args, "no_tos", False):
         overrides["tos"] = False

@@ -20,16 +20,23 @@ that a later squash could not undo:
 Committed accesses use plain MESI: loads of a remotely owned line
 recall the owner and downgrade everyone to S, stores invalidate remote
 copies.  Either recall costs full miss latency at the requester.
+
+Every decision but a committed RFO carries no per-call data, so
+:meth:`Directory.grant_load` and :meth:`Directory.grant_store` return
+shared grants built once at import; only the RFO grant, which names
+the cores to shoot down, is built per call.  A :class:`DelayedOp` is a
+``NamedTuple``, and directory entries are slotted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cache import CohState
 
 
-@dataclass
+@dataclass(slots=True)
 class DirEntry:
     state: CohState
     owner: int | None = None
@@ -49,6 +56,17 @@ class StoreGrant:
     invalidate_cores: int = 0  # L1 copies to shoot down (committed RFO)
     recall: bool = False
     grant: CohState = CohState.MODIFIED
+
+
+# the grants that carry nothing per call, shared by every decision
+_LOAD_OWN = {state: LoadGrant(grant=state) for state in CohState}  # keyed by the grant
+_LOAD_SHARED = _LOAD_OWN[CohState.SHARED]
+_LOAD_EXCLUSIVE = _LOAD_OWN[CohState.EXCLUSIVE]
+_LOAD_DELAYED = LoadGrant(delayed=True)
+_LOAD_RECALL = LoadGrant(recall=True, grant=CohState.SHARED)
+_STORE_DELAYED = StoreGrant(delayed=True)
+_STORE_MODIFIED = StoreGrant(grant=CohState.MODIFIED)
+_STORE_RECALL = StoreGrant(recall=True)  # an RFO with no L1 copy to shoot down
 
 
 class Directory:
@@ -85,16 +103,15 @@ class Directory:
         e = self._entries.get(line)
         if e is None:
             # untracked line: committed loads take E, speculative only S
-            grant = CohState.SHARED if speculative else CohState.EXCLUSIVE
-            return LoadGrant(grant=grant)
+            return _LOAD_SHARED if speculative else _LOAD_EXCLUSIVE
         if e.state is CohState.SHARED:
-            return LoadGrant(grant=CohState.SHARED)
+            return _LOAD_SHARED
         # E or M somewhere
         if e.owner == core:
-            return LoadGrant(grant=e.state)
+            return _LOAD_OWN[e.state]
         if speculative:
-            return LoadGrant(delayed=True)
-        return LoadGrant(recall=True, grant=CohState.SHARED)
+            return _LOAD_DELAYED
+        return _LOAD_RECALL
 
     def grant_store(
         self, line: int, core: int, speculative: bool, local_persistent_shared: bool
@@ -103,14 +120,17 @@ class Directory:
         remote = self.has_remote_copy(line, core)
         if speculative:
             if remote or local_persistent_shared:
-                return StoreGrant(delayed=True)
-            return StoreGrant(grant=CohState.MODIFIED)
+                return _STORE_DELAYED
+            return _STORE_MODIFIED
         if e is None:
-            return StoreGrant(grant=CohState.MODIFIED)
+            return _STORE_MODIFIED
         if remote:
             victims = e.sharers & ~(1 << core)
+            if not victims:
+                # only a remote owner, whose L1 copy has gone
+                return _STORE_RECALL
             return StoreGrant(invalidate_cores=victims, recall=True)
-        return StoreGrant(grant=CohState.MODIFIED)
+        return _STORE_MODIFIED
 
     # -- mutations -------------------------------------------------------
 
@@ -165,8 +185,7 @@ class Directory:
         )
 
 
-@dataclass
-class DelayedOp:
+class DelayedOp(NamedTuple):
     """A speculative access parked until its window resolves."""
 
     thread: int

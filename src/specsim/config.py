@@ -35,13 +35,14 @@ class LevelParams:
         return self.size_bytes // (self.ways * LINE_SIZE)
 
     def validate(self, name: str) -> None:
+        # ways first: the size check divides by it
+        if self.ways < 2:
+            raise ConfigError(f"{name}: need at least 2 ways")
         if self.size_bytes <= 0 or self.size_bytes % (self.ways * LINE_SIZE):
             raise ConfigError(f"{name}: size {self.size_bytes} not a multiple of ways*line")
         sets = self.num_sets
         if sets & (sets - 1):
             raise ConfigError(f"{name}: num_sets {sets} must be a power of two")
-        if self.ways < 2:
-            raise ConfigError(f"{name}: need at least 2 ways")
         if not 0 <= self.cap_t < self.ways:
             raise ConfigError(f"{name}: cap_t {self.cap_t} must be in [0, ways)")
 

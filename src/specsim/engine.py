@@ -29,6 +29,9 @@ state and counters of ``OPEN t w; LOAD t a w; COMMIT t w`` with an
 unused window id ``w``, because the buffer is empty whenever a window
 resolves and an access's L1 and L2 notes never merge; the buffer's
 ``pass_through`` counts what its own policy would have forced out.
+
+The per-probe :class:`TimingObservation` and the parked-fill record
+are ``NamedTuple``s, built at a tuple's cost on the hot path.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
 from .coherence import DelayedOp, Directory
@@ -59,8 +63,8 @@ class LatencyClass(Enum):
     AMBIGUOUS = "Ambiguous"
 
 
-@dataclass(frozen=True)
-class TimingObservation:
+class TimingObservation(NamedTuple):
+    # `index` hides tuple.index: read it as the probe's number
     index: int
     thread: int
     addr: int
@@ -82,8 +86,7 @@ class SimReport:
         return " ".join(parts)
 
 
-@dataclass
-class _Pending:
+class _Pending(NamedTuple):
     """A parked temporary fill awaiting a free way (see ownership)."""
 
     level: CacheLevel
@@ -547,15 +550,9 @@ class Engine:
             klass = LatencyClass.MISS
         else:
             klass = LatencyClass.AMBIGUOUS
-        obs = TimingObservation(
-            index=len(self.report.observations),
-            thread=thread,
-            addr=addr,
-            line=line,
-            latency=latency,
-            klass=klass,
-        )
-        self.report.observations.append(obs)
+        observations = self.report.observations
+        obs = TimingObservation(len(observations), thread, addr, line, latency, klass)
+        observations.append(obs)
         ctr["measures"] += 1
         return obs
 

@@ -16,15 +16,19 @@ Two pieces live here:
 
 Delivery order inside one window is the order the buffer drains: FIFO,
 with each access offering its L1 entry before its L2 entry.
+
+The per-access and per-note records (:class:`AccessRecord`,
+:class:`Notification`) are ``NamedTuple``s: immutable, hashable and
+equal by value, and a tuple's cost to build; a store folding into a
+load note replaces the entry with ``_replace``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .cache import LevelId
 
@@ -52,8 +56,7 @@ class NotifKind(IntEnum):
     SQUASH = 1
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(NamedTuple):
     window: int
     thread: int
     line: int
@@ -90,7 +93,7 @@ class NotificationBuffer:
             if note.is_store and not old.is_store:
                 # a store folding into a load note must keep its
                 # write intent, or the commit walk would lose it
-                self._entries[key] = dataclasses.replace(old, is_store=True)
+                self._entries[key] = old._replace(is_store=True)
             self.merged += 1
             return []
         out: list[Notification] = []
@@ -117,8 +120,7 @@ class NotificationBuffer:
         return out
 
 
-@dataclass
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One in-flight access.  Its committed footprint is its L1 (`l1`)
     and then the L2, even when the lookup hit at L1."""
 

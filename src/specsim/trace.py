@@ -13,12 +13,16 @@ committed access.
     COMMIT t0 w1
     MEASURE t1 0x1040          # timed probe, reported with its class
     BARRIER                    # drains retry queues; a scheduling fence
+
+A :class:`TraceEvent` is a ``NamedTuple``: immutable, hashable and
+equal by value like a frozen dataclass, but built at the cost of a
+tuple, which matters at one event per simulated instruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TraceParseError(Exception):
@@ -42,8 +46,7 @@ class EventKind(Enum):
 MGMT_OPS = ("flush", "invd", "prefetch")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: EventKind
     thread: int = 0
     addr: int | None = None

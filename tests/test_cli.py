@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from specsim.cli import main, run_walkthrough
+from specsim.config import ConfigError, LevelParams
 
 
 def test_replay_walkthrough_passes(capsys):
@@ -69,4 +72,27 @@ def test_rejected_event_names_its_trace_line(tmp_path, capsys):
     captured = capsys.readouterr()
     # the fourth line of the file, not the third event
     assert captured.err == "error: line 4: window 1 belongs to thread 0, not 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["cores", "smt"])
+def test_zero_core_or_thread_override_is_rejected(tmp_path, capsys, option):
+    trace = tmp_path / "t.trace"
+    trace.write_text("MEASURE t0 0x1000\n")
+    assert main(["run", str(trace), f"--{option}", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option} must be >= 1\n"
+    assert captured.out == ""
+
+
+def test_zero_ways_is_a_config_error_not_a_crash(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^l2: need at least 2 ways$"):
+        LevelParams(1024, 0, 0).validate("l2")
+    ini = tmp_path / "zero.ini"
+    ini.write_text("[l2]\nways = 0\n")
+    trace = tmp_path / "t.trace"
+    trace.write_text("MEASURE t0 0x1000\n")
+    assert main(["run", str(trace), "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: l2: need at least 2 ways\n"
     assert captured.out == ""

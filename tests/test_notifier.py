@@ -48,6 +48,23 @@ def test_distinct_kinds_do_not_merge():
     assert len(buf) == 2
 
 
+def test_store_note_merging_with_a_load_note_keeps_its_write_intent():
+    """A store and a load of one line in one window merge into one
+    entry that keeps the store's write intent, in either order, and
+    the entry keeps its place in the FIFO."""
+    load = note(line=4)
+    store = Notification(1, 0, 4, LevelId.L1D, NotifKind.COMMIT, is_store=True)
+    for first, second in ((load, store), (store, load)):
+        buf = NotificationBuffer(4)
+        buf.offer(first)
+        buf.offer(note(line=5))
+        assert buf.offer(second) == []
+        assert buf.merged == 1
+        merged, other = buf.drain()
+        assert merged == store
+        assert (other.line, other.is_store) == (5, False)
+
+
 def test_overflow_forces_out_oldest():
     buf = NotificationBuffer(2)
     first = note(line=1)

@@ -1,0 +1,160 @@
+"""The per-event records and the directory's grants.
+
+The records an engine builds once per event (trace events, probe
+observations, notifications, access logs, delayed ops, parked fills)
+are tuples that keep the semantics of the frozen dataclasses they
+replaced; the grants that carry nothing per call are shared.  The last
+test is a count that host noise cannot move: while the engine steps,
+it builds no frozen dataclass but a committed RFO's grant.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import pkgutil
+import random
+import sys
+
+import pytest
+
+import specsim
+from specsim.cache import CacheGeometry, CohState, LevelId
+from specsim.coherence import DelayedOp, Directory, StoreGrant
+from specsim.domains import CacheLevel
+from specsim.engine import Engine, LatencyClass, TimingObservation, _Pending
+from specsim.notifier import AccessRecord, Notification, NotifKind
+from specsim.trace import EventKind, TraceEvent, TraceParseError
+
+from conftest import small_config
+from gentraces import random_events
+
+_LEVEL = CacheLevel(CacheGeometry(LevelId.L1D, 1, 2), 1, 1)
+
+# each record with a value for every field, in field order
+RECORDS = [
+    (TraceEvent, dict(kind=EventKind.LOAD, thread=1, addr=0x40, window=2, mgmt_op=None)),
+    (TimingObservation, dict(index=3, thread=1, addr=0x40, line=1, latency=9, klass=LatencyClass.HIT)),
+    (Notification, dict(window=1, thread=0, line=4, level=LevelId.L1D, kind=NotifKind.COMMIT, is_store=True)),
+    (AccessRecord, dict(line=4, l1=LevelId.L1I, is_store=True)),
+    (DelayedOp, dict(thread=1, line=4, is_store=True, is_ifetch=False)),
+    (_Pending, dict(level=_LEVEL, core=0, thread=1, window=2, line=4, is_store=False)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_is_immutable_and_equal_by_value(cls, fields):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert cls._fields == tuple(fields)
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert len({by_keyword, by_position}) == 1
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == value
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, value)
+    last = cls._fields[-1]
+    assert by_keyword != by_keyword._replace(**{last: not fields[last]})
+
+
+def test_record_defaults_are_unchanged():
+    assert TraceEvent(EventKind.BARRIER) == (EventKind.BARRIER, 0, None, None, None)
+    assert Notification(1, 0, 4, LevelId.L2, NotifKind.SQUASH).is_store is False
+    assert AccessRecord(4, LevelId.L1D).is_store is False
+    assert DelayedOp(0, 4) == (0, 4, False, False)
+
+
+def test_trace_event_constructors_build_by_keyword():
+    assert TraceEvent.load(1, 0x40, 2) == TraceEvent(EventKind.LOAD, thread=1, addr=0x40, window=2)
+    assert TraceEvent.mgmt("flush", 0, 0x80) == TraceEvent(
+        EventKind.MGMT, thread=0, addr=0x80, mgmt_op="flush")
+    assert TraceEvent.barrier() == TraceEvent(kind=EventKind.BARRIER)
+    with pytest.raises(TraceParseError):
+        TraceEvent.mgmt("clean", 0, 0x80)
+
+
+def test_observation_index_is_the_probes_number(cfg):
+    eng = Engine(cfg)
+    for addr in (0x40, 0x80, 0x40):
+        eng.step(TraceEvent.measure(0, addr))
+    assert [o.index for o in eng.report.observations] == [0, 1, 2]
+
+
+def test_grants_without_per_call_data_are_shared():
+    d, other = Directory(2), Directory(2)
+    # untracked speculative load and a load of a shared line: both S
+    assert d.grant_load(4, 0, True) is other.grant_load(8, 1, True)
+    d.note_l2_fill(4, CohState.SHARED)
+    d.note_l1_fill(4, 0, CohState.SHARED)
+    assert d.grant_load(4, 1, False) is other.grant_load(8, 1, True)
+    d.note_l1_fill(12, 0, CohState.EXCLUSIVE)
+    assert d.grant_load(12, 1, True) is d.grant_load(12, 1, True)  # delayed
+    assert d.grant_load(12, 1, False) is d.grant_load(12, 1, False)  # recall
+    assert d.grant_load(12, 0, False) is other.grant_load(8, 0, False)  # E
+    assert d.grant_store(8, 0, True, False) is d.grant_store(8, 1, False, False)  # M
+    grant = d.grant_load(4, 0, True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grant.grant = CohState.MODIFIED
+
+
+def test_each_committed_rfo_carries_its_own_mask():
+    d = Directory(3)
+    for core in (0, 1):
+        d.note_l1_fill(4, core, CohState.SHARED)
+    d.note_l1_fill(8, 1, CohState.SHARED)
+    first = d.grant_store(4, 2, False, False)
+    second = d.grant_store(8, 0, False, False)
+    assert first is not second
+    assert (first.invalidate_cores, first.recall) == (0b011, True)
+    assert (second.invalidate_cores, second.recall) == (0b010, True)
+    # a remote owner whose L1 copy has gone leaves nothing to shoot down
+    d.note_l1_fill(12, 1, CohState.MODIFIED)
+    d.remove_sharer(12, 1)
+    recall = d.grant_store(12, 0, False, False)
+    assert (recall.invalidate_cores, recall.recall) == (0, True)
+    assert recall is d.grant_store(12, 2, False, False)
+
+
+def _dataclass_inits() -> dict:
+    """Every dataclass defined in specsim, by its __init__'s code."""
+    inits = {}
+    for info in pkgutil.iter_modules(specsim.__path__):
+        module = importlib.import_module(f"specsim.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                inits[obj.__init__.__code__] = obj
+    return inits
+
+
+@pytest.mark.parametrize("mode", ["specbox", "baseline"])
+@pytest.mark.parametrize("smt", [1, 2])
+def test_step_builds_no_frozen_dataclass_but_an_rfo_grant(mode, smt):
+    """Count dataclass constructions while the engine steps random
+    soups: the only frozen one is the grant of a committed RFO, which
+    names the cores to shoot down."""
+    cfg = small_config(mode=mode, smt=smt)
+    inits = _dataclass_inits()
+    assert StoreGrant in inits.values()
+    built: list[tuple[type, dict]] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            cls = inits.get(frame.f_code)
+            if cls is not None:
+                built.append((cls, dict(frame.f_locals)))
+
+    eng = Engine(cfg)
+    events = list(random_events(random.Random(40 + smt), cfg, 3000))
+    sys.setprofile(profile)
+    try:
+        for ev in events:
+            eng.step(ev)
+    finally:
+        sys.setprofile(None)
+    frozen = [(cls, args) for cls, args in built if cls.__dataclass_params__.frozen]
+    assert frozen, "the soup made no committed RFO"
+    for cls, args in frozen:
+        assert cls is StoreGrant and args["invalidate_cores"], (cls.__name__, args)
+    assert eng.report.counters["rfo_invalidations"] >= len(frozen)
