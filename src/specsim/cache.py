@@ -65,25 +65,21 @@ class InvalidWay(Exception):
 @dataclass(frozen=True)
 class CacheGeometry:
     """Shape of one cache level. Addresses are opaque 64-bit integers;
-    the line number is address // line_size, the set index is
+    the line number is address // LINE_SIZE, the set index is
     line % num_sets and the tag is line // num_sets."""
 
     level_id: LevelId
     num_sets: int
     ways: int
-    shared: bool = False
-    line_size: int = LINE_SIZE
 
     def __post_init__(self) -> None:
         if self.num_sets < 1 or self.num_sets & (self.num_sets - 1):
             raise ValueError(f"num_sets must be a power of two, got {self.num_sets}")
         if self.ways < 2:
             raise ValueError(f"ways must be >= 2, got {self.ways}")
-        if self.line_size != LINE_SIZE:
-            raise ValueError(f"line size is fixed at {LINE_SIZE} bytes")
 
     def line_of(self, address: int) -> int:
-        return (address & ADDR_MASK) // self.line_size
+        return (address & ADDR_MASK) // LINE_SIZE
 
     def set_index(self, line: int) -> int:
         return line % self.num_sets

@@ -17,13 +17,14 @@ import sys
 from .attacks import (
     EXPECTED_LEAK,
     PROBE_BASE,
+    InvalidLine,
     ScenarioResult,
     run_scenario,
     scenario_names,
 )
 from .cache import LINE_SIZE, CacheGeometry, Domain, LevelId
 from .config import ConfigError, LevelParams, SimConfig, load_config
-from .domains import CacheLevel, CommitCase
+from .domains import AccessOutcome, CacheLevel
 from .engine import Engine
 from .notifier import UnknownWindow, WindowClosed
 from .trace import TraceParseError, parse_event
@@ -73,10 +74,10 @@ def run_walkthrough() -> tuple[list[tuple[str, bool, list, list]], int]:
     check(WALKTHROUGH_STEPS[1][0], WALKTHROUGH_STEPS[1][1])
     level.access_inflight(c, 0)
     check(WALKTHROUGH_STEPS[2][0], WALKTHROUGH_STEPS[2][1])
-    if level.apply_commit(a) is CommitCase.REINSTALLED:
+    if level.apply_commit(a) is AccessOutcome.MISS_INSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[3][0], WALKTHROUGH_STEPS[3][1])
-    if level.apply_commit(b) is CommitCase.REINSTALLED:
+    if level.apply_commit(b) is AccessOutcome.MISS_INSTALLED:
         reinstalls += 1
     check(WALKTHROUGH_STEPS[4][0], WALKTHROUGH_STEPS[4][1])
     level.apply_squash(c, 0)
@@ -211,7 +212,11 @@ def _cmd_poc(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    caps = [int(c) for c in args.caps.split(",")]
+    try:
+        caps = [int(c) for c in args.caps.split(",")]
+    except ValueError:
+        print(f"error: --caps takes comma-separated integers, got {args.caps!r}", file=sys.stderr)
+        return 1
     base = SimConfig(mode="specbox", cores=3 if args.scenario.startswith("coherence") else 2)
     for cap in caps:
         params = getattr(base, args.level)
@@ -280,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceParseError) as exc:
+    except (ConfigError, TraceParseError, InvalidLine) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,14 +103,34 @@ class SimConfig:
         return dataclasses.replace(self, **kwargs).validate()
 
 
+def _get(section, key: str, default, conv):
+    """`section[key]` converted by `conv`, or `default` if the key is absent."""
+    if key not in section:
+        return default
+    raw = section[key]
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section.name}: bad value for {key}: {raw!r}") from exc
+
+
+def _bool(raw: str) -> bool:
+    val = raw.strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
 def _level_from_ini(cp: configparser.ConfigParser, section: str, base: LevelParams) -> LevelParams:
     if not cp.has_section(section):
         return base
-    get = cp[section]
+    sec = cp[section]
     return LevelParams(
-        size_bytes=get.getint("size_kb", base.size_bytes // 1024) * 1024,
-        ways=get.getint("ways", base.ways),
-        cap_t=get.getint("cap_t", base.cap_t),
+        size_bytes=_get(sec, "size_kb", base.size_bytes // 1024, int) * 1024,
+        ways=_get(sec, "ways", base.ways, int),
+        cap_t=_get(sec, "cap_t", base.cap_t, int),
     )
 
 
@@ -124,23 +144,6 @@ def load_config(path: str) -> SimConfig:
     sim = cp["sim"] if cp.has_section("sim") else {}
     lat = cp["latency"] if cp.has_section("latency") else {}
     th = cp["thresholds"] if cp.has_section("thresholds") else {}
-
-    def _get(section, key, default, conv):
-        if key not in section:
-            return default
-        raw = section[key]
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-    def _bool(raw: str) -> bool:
-        val = raw.strip().lower()
-        if val in ("1", "true", "yes", "on"):
-            return True
-        if val in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(raw)
 
     cfg = SimConfig(
         mode=_get(sim, "mode", base.mode, str),

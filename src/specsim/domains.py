@@ -12,7 +12,8 @@ makes speculation invisible to later timing probes:
    persistent domain it is LRU.  Invalid ways are always preferred.
  * Commit moves a line from the temporary domain into the persistent
    domain by swapping labels with a persistent victim, so the count
-   invariant is maintained without copying data between ways.
+   invariant is maintained without copying data between ways.  A
+   committed access is its own commit: both run ``access_committed``.
  * Squash simply invalidates the temporary way; the label stays.
 
 Owner masks (see :mod:`.ownership`) are maintained unconditionally so
@@ -28,14 +29,13 @@ line by a mask and a shift, and every fill picks its victim in one pass
 temporary fill); only ``reconfigure`` walks a full ``victim_order``.
 Only fills, not lookups, grow with the associativity.
 
-The access paths return a plain :class:`AccessOutcome`, ``apply_commit``
-a :class:`CommitCase` and ``reconfigure`` the list of lines it dropped.
-A valid line that a fill or a promotion displaces is reported, once, to
-the level's ``on_evict`` hook, at the moment it leaves; the default
-hook does nothing, and the engine installs its own to keep the
-inclusive hierarchy and the directory in step.  Lines that an op drops
-on purpose (a squash, ``invalidate_line``, ``reconfigure``) are not
-reported: the caller already knows them.
+The paths return a plain :class:`AccessOutcome`, ``reconfigure`` the
+lines it dropped.  A valid line that a fill or a promotion displaces
+goes, once, to the level's ``on_evict`` hook as it leaves; every line
+a fill installs then goes to ``on_fill`` with its coherence state.  The
+default hooks do nothing; the engine's keep the inclusive hierarchy and
+the directory in step.  Lines that an op drops on purpose (a squash,
+``invalidate_line``, ``reconfigure``) are not reported.
 """
 
 from __future__ import annotations
@@ -55,20 +55,15 @@ class NotQuiescent(Exception):
 
 
 class AccessOutcome(Enum):
-    """What one level did with one access, a prefetch or a retried
+    """What one level did with one access, commit, prefetch or retried
     fill.  For a retry, HIT means some other path already brought the
     line in and MISS_BYPASSED that the fill is still blocked."""
 
     HIT = "hit"
+    PROMOTED = "promoted"
     EMULATED_MISS = "emulated_miss"
     MISS_INSTALLED = "miss_installed"
     MISS_BYPASSED = "miss_bypassed"
-
-
-class CommitCase(Enum):
-    PROMOTED = "promoted"          # line was temporary: relabel swap
-    TOUCHED = "touched"            # line already persistent: refresh LRU
-    REINSTALLED = "reinstalled"    # line absent: fresh persistent fill
 
 
 class CacheLevel:
@@ -99,6 +94,10 @@ class CacheLevel:
         """Hook called with each valid line a fill or a promotion
         displaces, once the line has left; an owner of the level may
         replace it on the instance."""
+
+    def on_fill(self, line: int, state: CohState) -> None:
+        """Like ``on_evict``, for each line a fill installs and the
+        state it holds; `state` is always passed by keyword."""
 
     # -- bookkeeping -------------------------------------------------
 
@@ -180,8 +179,10 @@ class CacheLevel:
         line: int,
         coh_state: CohState = CohState.EXCLUSIVE,
     ) -> AccessOutcome:
-        """Non-speculative access: fills are persistent, temporary hits
-        are promoted on the spot (the access itself is the commit)."""
+        """Non-speculative access, or commit notification, of `line`:
+        a persistent line is a HIT (LRU refresh), a temporary one is
+        PROMOTED, and an absent one (never here, or lost to contention
+        or a suspended fill) is MISS_INSTALLED, persistent in `coh_state`."""
         si = line & self._set_mask
         cset = self.sets[si]
         way = cset.index.get(line >> self._tag_shift)
@@ -189,11 +190,14 @@ class CacheLevel:
             if cset.ways[way].domain is Domain.PERSISTENT:
                 self._clock += 1
                 cset.touch(way, self._clock)
-            else:
-                self._promote(si, way)
-            return AccessOutcome.HIT
+                return AccessOutcome.HIT
+            self._promote(si, way)
+            return AccessOutcome.PROMOTED
         self._install(si, line, Domain.PERSISTENT, 0, coh_state)
         return AccessOutcome.MISS_INSTALLED
+
+    # commits come in by this name, so a tracer wrapping both counts them apart
+    apply_commit = access_committed
 
     def try_install_suspended(self, line: int, thread: int, is_store: bool) -> AccessOutcome:
         """Retry a parked temporary fill of `thread`: MISS_INSTALLED if
@@ -211,31 +215,6 @@ class CacheLevel:
         return AccessOutcome.MISS_INSTALLED
 
     # -- window resolution -------------------------------------------
-
-    def apply_commit(
-        self,
-        line: int,
-        coh_state: CohState = CohState.EXCLUSIVE,
-    ) -> CommitCase:
-        """Commit notification for `line` at this level.
-
-        (a) line is temporary: promote it into the persistent domain.
-        (b) line is already persistent: refresh its LRU position.
-        (c) line is absent (lost to contention or a suspended fill):
-            re-install it persistently.
-        """
-        si = line & self._set_mask
-        cset = self.sets[si]
-        way = cset.index.get(line >> self._tag_shift)
-        if way is not None:
-            if cset.ways[way].domain is Domain.TEMPORARY:
-                self._promote(si, way)
-                return CommitCase.PROMOTED
-            self._clock += 1
-            cset.touch(way, self._clock)
-            return CommitCase.TOUCHED
-        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return CommitCase.REINSTALLED
 
     def apply_squash(self, line: int, thread: int) -> bool:
         """Squash notification: drop the thread's claim on the line.
@@ -323,9 +302,8 @@ class CacheLevel:
         way: int | None = None,
     ) -> None:
         """Fill `line` into `way` (by default the set's victim way of
-        `domain`) and report a line it evicts to ``on_evict``.
-        `install` overwrites a valid way in place, so the victim needs
-        no separate invalidation."""
+        `domain`); report a line it evicts, then the fill, to the hooks.
+        `install` overwrites a valid way in place."""
         cset = self.sets[set_index]
         if way is None:
             way = cset.select_victim(domain)
@@ -335,6 +313,7 @@ class CacheLevel:
         cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state, self._clock)
         if evicted is not None:
             self.on_evict(evicted)
+        self.on_fill(line, state=coh_state)
 
     def _promote(self, set_index: int, way: int) -> None:
         """Swap the temporary line at `way` into the persistent domain,

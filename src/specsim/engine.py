@@ -30,6 +30,8 @@ unused window id ``w``, because the buffer is empty whenever a window
 resolves and an access's L1 and L2 notes never merge; the buffer's
 ``pass_through`` counts what its own policy would have forced out.
 
+No access path notes a fill or an eviction: the levels' hooks do.
+
 The per-probe :class:`TimingObservation` and the parked-fill record
 are ``NamedTuple``s, built at a tuple's cost on the hot path.
 """
@@ -40,12 +42,13 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
 from .coherence import DelayedOp, Directory
 from .config import SimConfig
-from .domains import AccessOutcome, CacheLevel, CommitCase, NotQuiescent
+from .domains import AccessOutcome, CacheLevel, NotQuiescent
 from .notifier import (
     AccessRecord,
     Notification,
@@ -116,15 +119,15 @@ class Engine:
         spec = cfg.protected
         nthreads = cfg.num_threads
 
-        def build(params, level_id: LevelId, protect: bool, shared: bool) -> CacheLevel:
-            geom = CacheGeometry(level_id, params.num_sets, params.ways, shared=shared)
+        def build(params, level_id: LevelId, protect: bool) -> CacheLevel:
+            geom = CacheGeometry(level_id, params.num_sets, params.ways)
             cap = params.cap_t if spec else 0
             return CacheLevel(geom, cap, nthreads, protected=spec and cfg.tos and protect)
 
         l1_prot = cfg.smt > 1  # private L1s need masks only when SMT shares them
-        self.l1i = [build(cfg.l1i, LevelId.L1I, l1_prot, False) for _ in range(cfg.cores)]
-        self.l1d = [build(cfg.l1d, LevelId.L1D, l1_prot, False) for _ in range(cfg.cores)]
-        self.l2 = build(cfg.l2, LevelId.L2, True, True)
+        self.l1i = [build(cfg.l1i, LevelId.L1I, l1_prot) for _ in range(cfg.cores)]
+        self.l1d = [build(cfg.l1d, LevelId.L1D, l1_prot) for _ in range(cfg.cores)]
+        self.l2 = build(cfg.l2, LevelId.L2, True)
         self.directory = Directory(cfg.cores)
         self.windows = WindowRegistry()
         self.nfb = NotificationBuffer(cfg.nfb_capacity)
@@ -134,18 +137,17 @@ class Engine:
         self._nthreads = nthreads
         self._smt = cfg.smt
         self._baseline = cfg.mode == "baseline"
-        self._hook_evictions()
+        self._hook_levels()
 
     # -- plumbing ------------------------------------------------------
 
-    def _hook_evictions(self) -> None:
-        """Wire the levels' on_evict hooks, the one path by which a line
-        that a fill, a promotion or a commit-time re-install displaces
-        reaches the engine.  The L2's handler counts a back-invalidation
-        and drops the line's L1 copies and directory entry (inclusion);
-        core c's L1I and L1D handler clears c's sharer bit unless c's
-        other L1 still holds the line.  Each runs inside the level call,
-        right after the victim leaves, before the caller notes its fill.
+    def _hook_levels(self) -> None:
+        """Wire the levels' hooks, the one path by which displaced and
+        installed lines reach the engine and the directory.  on_evict:
+        the L2's counts a back-invalidation and drops the line's L1
+        copies and directory entry (inclusion); core c's L1I and L1D one
+        clears c's sharer bit unless c's other L1 still holds the line.
+        on_fill is the directory's note_l2_fill, or note_l1_fill for c.
         """
         # a weak proxy: hooks holding the engine itself would make an
         # engine -> level -> hook -> engine cycle that only the cyclic
@@ -157,11 +159,15 @@ class Engine:
             me._back_invalidate(line)
 
         self.l2.on_evict = l2_evicted
+        # the fill hooks add no Python frame and hold no engine
+        self.l2.on_fill = self.directory.note_l2_fill
         for core in range(self.cfg.cores):
             def l1_evicted(line: int, core: int = core) -> None:
                 me._l1_presence_refresh(line, core)
 
-            self.l1i[core].on_evict = self.l1d[core].on_evict = l1_evicted
+            l1_filled = partial(self.directory.note_l1_fill, core=core)
+            for lv in (self.l1i[core], self.l1d[core]):
+                lv.on_evict, lv.on_fill = l1_evicted, l1_filled
 
     def core_of(self, thread: int) -> int:
         return thread // self._smt
@@ -243,12 +249,10 @@ class Engine:
         if r1 is AccessOutcome.HIT:
             ctr["l1_hits"] += 1
         else:
-            if r1 is AccessOutcome.MISS_INSTALLED:
-                self.directory.note_l1_fill(line, core, grant)
-            elif r1 is AccessOutcome.MISS_BYPASSED:
+            if r1 is AccessOutcome.MISS_BYPASSED:
                 ctr["suspended_installs"] += 1
                 self._pending.append(_Pending(l1, core, thread, window_id, line, is_store))
-            else:
+            elif r1 is AccessOutcome.EMULATED_MISS:
                 ctr["emulated_misses"] += 1
             latency += self._l2_latency(core, line)
             r2 = self.l2.access_inflight(line, thread, grant)
@@ -257,12 +261,10 @@ class Engine:
             else:
                 latency += self.cfg.latency.memory
                 ctr["memory_fills"] += 1
-                if r2 is AccessOutcome.MISS_INSTALLED:
-                    self.directory.note_l2_fill(line, grant)
-                elif r2 is AccessOutcome.MISS_BYPASSED:
+                if r2 is AccessOutcome.MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
                     self._pending.append(_Pending(self.l2, core, thread, window_id, line, is_store))
-                else:
+                elif r2 is AccessOutcome.EMULATED_MISS:
                     ctr["emulated_misses"] += 1
 
         if is_store:
@@ -348,17 +350,15 @@ class Engine:
             grant = CohState.SHARED
 
         latency = self.cfg.latency.l1_hit
-        if l1.access_committed(line, grant) is AccessOutcome.HIT:
+        if l1.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
             ctr["l1_hits"] += 1
         else:
             latency += self._l2_latency(core, line)
-            if self.l2.access_committed(line, grant) is AccessOutcome.HIT:
+            if self.l2.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
                 ctr["l2_hits"] += 1
             else:
                 latency += self.cfg.latency.memory
                 ctr["memory_fills"] += 1
-                self.directory.note_l2_fill(line, grant)
-            self.directory.note_l1_fill(line, core, grant)
 
         if is_store:
             l1.set_coh_state(line, CohState.MODIFIED)
@@ -377,7 +377,6 @@ class Engine:
             self.report.counters["prefetch_dropped"] += 1
             return
         if self.l2.install_prefetch(line, CohState.SHARED) is AccessOutcome.MISS_INSTALLED:
-            self.directory.note_l2_fill(line, CohState.SHARED)
             self.report.counters["prefetch_fills"] += 1
 
     def _exec_mgmt(self, op: str, line: int, thread: int) -> None:
@@ -425,14 +424,10 @@ class Engine:
             coh = self._committed_grant(line, core, is_store)[0]
             if coh is CohState.EXCLUSIVE:
                 coh = CohState.SHARED
-        case = level.apply_commit(line, coh)
-        if case is CommitCase.REINSTALLED:
+        outcome = level.apply_commit(line, coh)
+        if outcome is AccessOutcome.MISS_INSTALLED:
             ctr["rsr_reinstalls"] += 1
-            if level_id is LevelId.L2:
-                self.directory.note_l2_fill(line, coh)
-            else:
-                self.directory.note_l1_fill(line, core, coh)
-        elif case is CommitCase.PROMOTED:
+        elif outcome is AccessOutcome.PROMOTED:
             ctr["lines_promoted"] += 1
         if is_store:
             # regardless of how the line got here (promoted in place,
@@ -506,13 +501,8 @@ class Engine:
                 if status is AccessOutcome.MISS_INSTALLED:
                     progress = True
                     self.report.counters["retried_installs"] += 1
-                    state = CohState.MODIFIED if p.is_store else CohState.SHARED
-                    if p.level is self.l2:
-                        self.directory.note_l2_fill(p.line, state)
-                        if p.is_store:
-                            self.directory.upgrade_for_store(p.line, p.core)
-                    else:
-                        self.directory.note_l1_fill(p.line, p.core, state)
+                    if p.is_store and p.level is self.l2:
+                        self.directory.upgrade_for_store(p.line, p.core)
                 elif status is AccessOutcome.MISS_BYPASSED:
                     keep.append(p)
                 # HIT: some other path brought the line in; drop it

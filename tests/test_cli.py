@@ -96,3 +96,25 @@ def test_zero_ways_is_a_config_error_not_a_crash(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: l2: need at least 2 ways\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, key, raw", [("l2", "ways", "abc"), ("l1d", "size_kb", "1.5")])
+def test_non_integer_level_value_is_a_config_error(tmp_path, capsys, section, key, raw):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {raw}\n")
+    trace = tmp_path / "t.trace"
+    trace.write_text("MEASURE t0 0x1000\n")
+    assert main(["run", str(trace), "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {section}: bad value for {key}: {raw!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poc", "--secret", "300"], "error: secret 300 out of range 0..255\n"),
+    (["attack", "poc", "--secret", "-1"], "error: secret -1 out of range 0..255\n"),
+    (["sweep", "--caps", "1,x"], "error: --caps takes comma-separated integers, got '1,x'\n"),
+], ids=["poc-secret", "attack-secret", "sweep-caps"])
+def test_bad_argument_is_an_error_line_not_a_traceback(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message

@@ -13,7 +13,6 @@ from specsim.domains import (
     AccessOutcome,
     CacheLevel,
     CapacityOutOfRange,
-    CommitCase,
 )
 
 
@@ -44,7 +43,7 @@ def test_inflight_persistent_hit_does_not_touch_recency():
     assert lv.access_inflight(a, 0) is AccessOutcome.HIT
     assert lv.fingerprint() == before
     # the deferred update arrives with the commit
-    assert lv.apply_commit(a) is CommitCase.TOUCHED
+    assert lv.apply_commit(a) is AccessOutcome.HIT
     assert lv.fingerprint() != before
 
 
@@ -176,7 +175,7 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
     lv.access_inflight(line, 0)
     evicted = []
     lv.on_evict = evicted.append
-    assert lv.apply_commit(line) is CommitCase.PROMOTED
+    assert lv.apply_commit(line) is AccessOutcome.PROMOTED
     # the LRU persistent line made room and its way joined the temporary pool
     assert evicted == [old[0]]
     assert lv.resident_domain(line) is Domain.PERSISTENT
@@ -187,7 +186,7 @@ def test_apply_commit_promotes_and_recycles_persistent_way():
 
 def test_apply_commit_absent_line_reinstalls():
     lv = make_level()
-    assert lv.apply_commit(64, CohState.SHARED) is CommitCase.REINSTALLED
+    assert lv.apply_commit(64, CohState.SHARED) is AccessOutcome.MISS_INSTALLED
     assert lv.resident_domain(64) is Domain.PERSISTENT
     assert lv.coh_state_of(64) is CohState.SHARED
 
@@ -275,24 +274,32 @@ def test_install_prefetch_is_idempotent_and_persistent():
 def test_level_lookups_match_a_linear_scan(ops):
     """Whatever a level goes through, its line lookups agree with a scan
     of the set's ways, every set's victim choice is the head of its
-    victim order, and every line that leaves the level is reported to
-    the on_evict hook exactly once, unless the op itself dropped it."""
+    victim order, every line that leaves the level is reported to the
+    on_evict hook exactly once, unless the op itself dropped it, and
+    every install is reported to on_fill once, with the state its way
+    now holds, after the line it displaced."""
     lv = make_level(num_sets=2, ways=4, cap_t=2, protected=True)
     reported = []
     lv.on_evict = reported.append
+    filled = []
+    # each fill also records how many evictions were reported before it
+    lv.on_fill = lambda line, state: filled.append((line, state, len(reported)))
     parked = []
     for op, i, thread in ops:
         line = 64 + i
         before = lv.resident_lines()
         reported.clear()
+        filled.clear()
         dropped = []
+        outcome = None
         if op == "inflight":
-            if lv.access_inflight(line, thread) is AccessOutcome.MISS_BYPASSED:
+            outcome = lv.access_inflight(line, thread)
+            if outcome is AccessOutcome.MISS_BYPASSED:
                 parked.append((line, thread))
         elif op == "committed":
-            lv.access_committed(line)
+            outcome = lv.access_committed(line)
         elif op == "commit":
-            lv.apply_commit(line)
+            outcome = lv.apply_commit(line)
         elif op == "squash":
             if lv.apply_squash(line, thread):
                 dropped.append(line)
@@ -300,14 +307,20 @@ def test_level_lookups_match_a_linear_scan(ops):
             if lv.invalidate_line(line):
                 dropped.append(line)
         elif op == "prefetch":
-            lv.install_prefetch(line, CohState.SHARED)
+            outcome = lv.install_prefetch(line, CohState.SHARED)
         elif op == "retry" and parked:
-            lv.try_install_suspended(*parked.pop(0), False)
+            line = parked[0][0]
+            outcome = lv.try_install_suspended(*parked.pop(0), False)
         elif op == "reconfigure":
             # reconfiguring needs quiescence: parked fills died with their windows
             parked.clear()
             dropped = lv.reconfigure(i % 4)
         after = lv.resident_lines()
+        if outcome is AccessOutcome.MISS_INSTALLED:
+            assert filled == [(line, lv.coh_state_of(line), len(reported))]
+            assert line in after - before
+        else:
+            assert filled == []
         assert len(reported) == len(set(reported))
         assert set(reported) <= before - after
         assert before - after <= set(reported) | set(dropped)

@@ -596,7 +596,8 @@ def test_probes_bypass_the_window_registry_and_the_nfb():
 def test_every_l1_line_keeps_its_sharer_bit(mode, cores, smt):
     """L1 copies are invalidated by walking only the directory's sharer
     mask, which misses none only while every valid L1 line has its
-    sharer bit: checked after every event of a random soup."""
+    sharer bit; and the directory tracks every line the L2 holds.  Both
+    checked after every event of a random soup."""
     cfg = small_config(mode=mode, cores=cores, smt=smt)
     eng = Engine(cfg)
     rng = random.Random(cores * 10 + smt)
@@ -608,6 +609,10 @@ def test_every_l1_line_keeps_its_sharer_bit(mode, cores, smt):
                     assert eng.directory.sharers(line) >> core & 1, (
                         f"event {n} ({ev.format()}): core {core} holds {line:#x} without its bit"
                     )
+        for line in eng.l2.resident_lines():
+            assert eng.directory.entry(line) is not None, (
+                f"event {n} ({ev.format()}): L2 holds {line:#x} with no directory entry"
+            )
         if n % 1000 == 0 and not eng.windows.any_open():
             level = rng.choice(("l1i", "l1d", "l2"))
             eng.reconfigure(level, rng.randint(1, getattr(cfg, level).ways - 1))

@@ -1,0 +1,57 @@
+"""Golden digests that pin the model.
+
+Each case steps a fixed ``random_events`` soup through an engine and
+hashes what the run leaves behind: every observation, the sorted
+counters and the final ``Engine.fingerprint()`` (every level's ways and
+the directory).  A change meant to keep the model leaves all of them
+alone.  A change that moves the model on purpose updates the digests
+here and records the old and new values in ``CHANGES.md``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from specsim.config import LevelParams
+from specsim.engine import Engine
+
+from conftest import small_config
+from gentraces import random_events
+
+SOUP_EVENTS = 3000
+SOUP_L2 = LevelParams(8192, 8, 2)
+
+# (mode, smt) -> (observations, counters, fingerprint) digests
+GOLDEN = {
+    ("specbox", 1): ("92effca2c58beb9d", "d9b50a9caea5f83f", "0ee8b667a33a1f18"),
+    ("specbox", 2): ("964236c70d616dcb", "73cd770f4468672b", "ef3215484f5529b0"),
+    ("baseline", 1): ("742fd7445f279d86", "b946eed2cf84e085", "743e4d7df630fea5"),
+    ("baseline", 2): ("056807522a647110", "d7fde6cd2cb324fc", "1d7c9e58e64f667d"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run_digests(mode: str, smt: int) -> tuple[str, str, str]:
+    # an L2 of 16 sets of 8 ways: the soup's hot lines overflow one set,
+    # so L2 evictions, back-invalidations and parked fills all take part
+    cfg = small_config(mode=mode, cores=2, smt=smt, prefetch=True).replaced(l2=SOUP_L2)
+    eng = Engine(cfg)
+    eng.run(list(random_events(random.Random(1000 + smt), cfg, SOUP_EVENTS)))
+    report = eng.report
+    observations = "".join(
+        f"{o.index} {o.thread} {o.addr:#x} {o.line:#x} {o.latency} {o.klass.value}\n"
+        for o in report.observations
+    )
+    counters = "".join(f"{k}={v}\n" for k, v in sorted(report.counters.items()))
+    return _digest(observations), _digest(counters), _digest(repr(eng.fingerprint()))
+
+
+@pytest.mark.parametrize("mode, smt", sorted(GOLDEN))
+def test_model_matches_its_golden_digests(mode, smt):
+    assert run_digests(mode, smt) == GOLDEN[mode, smt]
