@@ -14,13 +14,17 @@ The `poc` scenario is the classic transient leak end to end: flush a
 256-line probe array, speculatively load the entry indexed by a secret
 byte inside a window that then squashes, and time the whole array in a
 permuted order.  On an unprotected hierarchy exactly the secret's line
-comes back hot.
+comes back hot.  Its 256 probe addresses, 256 flushes and 256 permuted
+measures are immutable, so they are built once, on first use, and every
+repetition shares them: a repetition adds only its own OPEN, optional
+LOAD and SQUASH.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cache import LINE_SIZE
 from .config import SimConfig
@@ -218,18 +222,26 @@ def probe_order(n: int = PROBE_LINES) -> list[int]:
     return [(i * 167 + 13) % n for i in range(n)]
 
 
+@cache
+def _poc_blocks() -> tuple[tuple[int, ...], tuple[TraceEvent, ...], tuple[TraceEvent, ...]]:
+    """The PoC's probe addresses, flushes and permuted measures, shared
+    by every repetition."""
+    probes = tuple(PROBE_BASE + i * LINE_SIZE for i in range(PROBE_LINES))
+    flushes = tuple(TraceEvent.mgmt("flush", 0, a) for a in probes)
+    measures = tuple(TraceEvent.measure(0, probes[i]) for i in probe_order())
+    return probes, flushes, measures
+
+
 def _poc(cfg: SimConfig, bit: int, ids: _Ids, secret: int = 79) -> list[TraceEvent]:
     if not 0 <= secret < PROBE_LINES:
         raise InvalidLine(f"secret {secret} out of range 0..{PROBE_LINES - 1}")
-    probes = [PROBE_BASE + i * LINE_SIZE for i in range(PROBE_LINES)]
-    ev = _flush_all(0, probes)
+    probes, flushes, measures = _poc_blocks()
     w = ids()
-    ev.append(TraceEvent.open(0, w))
+    window = [TraceEvent.open(0, w)]
     if bit:
-        ev.append(TraceEvent.load(0, probes[secret], w))
-    ev.append(TraceEvent.squash(0, w))
-    ev += [TraceEvent.measure(0, probes[i]) for i in probe_order()]
-    return ev
+        window.append(TraceEvent.load(0, probes[secret], w))
+    window.append(TraceEvent.squash(0, w))
+    return [*flushes, *window, *measures]
 
 
 @dataclass(frozen=True)
@@ -269,6 +281,8 @@ def build_trace(
     spec = SCENARIOS.get(name)
     if spec is None:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     ids = _Ids()
     events: list[TraceEvent] = []
     for _ in range(reps):

@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceParseError, InvalidLine) as exc:
+    except (ConfigError, TraceParseError, InvalidLine, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,9 +59,9 @@ class StoreGrant:
 
 
 # the grants that carry nothing per call, shared by every decision
-_LOAD_OWN = {state: LoadGrant(grant=state) for state in CohState}  # keyed by the grant
-_LOAD_SHARED = _LOAD_OWN[CohState.SHARED]
-_LOAD_EXCLUSIVE = _LOAD_OWN[CohState.EXCLUSIVE]
+_LOAD_SHARED = LoadGrant(grant=CohState.SHARED)
+_LOAD_EXCLUSIVE = LoadGrant(grant=CohState.EXCLUSIVE)
+_LOAD_MODIFIED = LoadGrant(grant=CohState.MODIFIED)
 _LOAD_DELAYED = LoadGrant(delayed=True)
 _LOAD_RECALL = LoadGrant(recall=True, grant=CohState.SHARED)
 _STORE_DELAYED = StoreGrant(delayed=True)
@@ -108,7 +108,8 @@ class Directory:
             return _LOAD_SHARED
         # E or M somewhere
         if e.owner == core:
-            return _LOAD_OWN[e.state]
+            # picked by identity: hashing a plain Enum runs in Python
+            return _LOAD_EXCLUSIVE if e.state is CohState.EXCLUSIVE else _LOAD_MODIFIED
         if speculative:
             return _LOAD_DELAYED
         return _LOAD_RECALL

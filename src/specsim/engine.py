@@ -33,7 +33,10 @@ resolves and an access's L1 and L2 notes never merge; the buffer's
 No access path notes a fill or an eviction: the levels' hooks do.
 
 The per-probe :class:`TimingObservation` and the parked-fill record
-are ``NamedTuple``s, built at a tuple's cost on the hot path.
+are ``NamedTuple``s, built at a tuple's cost on the hot path.  An
+observation stores the probed address, not its line: ``line`` is a
+property derived from ``addr``, so a retained probe holds one int
+fewer.
 """
 
 from __future__ import annotations
@@ -71,9 +74,13 @@ class TimingObservation(NamedTuple):
     index: int
     thread: int
     addr: int
-    line: int
     latency: int
     klass: LatencyClass
+
+    @property
+    def line(self) -> int:
+        """The probed line: derived from `addr`, not stored."""
+        return (self.addr & ADDR_MASK) // LINE_SIZE
 
 
 @dataclass
@@ -541,7 +548,7 @@ class Engine:
         else:
             klass = LatencyClass.AMBIGUOUS
         observations = self.report.observations
-        obs = TimingObservation(len(observations), thread, addr, line, latency, klass)
+        obs = TimingObservation(len(observations), thread, addr, latency, klass)
         observations.append(obs)
         ctr["measures"] += 1
         return obs

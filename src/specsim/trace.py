@@ -16,7 +16,11 @@ committed access.
 
 A :class:`TraceEvent` is a ``NamedTuple``: immutable, hashable and
 equal by value like a frozen dataclass, but built at the cost of a
-tuple, which matters at one event per simulated instruction.
+tuple, which matters at one event per simulated instruction.  Being
+immutable, one event can stand for many: :func:`parse_trace` parses
+each distinct line once, and identical lines share one event object.
+An event therefore carries no source line number; a caller that needs
+one maps the event's index in the list to its line.
 """
 
 from __future__ import annotations
@@ -186,11 +190,17 @@ def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
+    """Parse a whole trace; identical lines yield the same event object."""
     events = []
+    parsed: dict[str, TraceEvent] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        ev = parse_event(line, lineno)
-        if ev is not None:
-            events.append(ev)
+        ev = parsed.get(line)
+        if ev is None:
+            ev = parse_event(line, lineno)
+            if ev is None:
+                continue
+            parsed[line] = ev
+        events.append(ev)
     return events
 
 

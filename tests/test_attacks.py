@@ -22,8 +22,7 @@ from specsim.engine import LatencyClass, TimingObservation
 
 
 def obs(index, addr, latency, klass, thread=0):
-    return TimingObservation(index=index, thread=thread, addr=addr,
-                             line=addr // LINE_SIZE, latency=latency, klass=klass)
+    return TimingObservation(index=index, thread=thread, addr=addr, latency=latency, klass=klass)
 
 
 def test_analyze_flags_class_differences():
@@ -90,3 +89,29 @@ def test_poc_trace_embeds_the_secret_only_in_bit1():
     t1 = build_trace("poc", 1, cfg)
     # the bit-1 trace has exactly one extra event: the transient access
     assert len(t1) == len(t0) + 1
+
+
+def test_poc_repetitions_share_their_flush_and_measure_events():
+    cfg = scenario_config("poc", "specbox")
+    trace = build_trace("poc", 1, cfg, reps=100)
+    per_rep = len(trace) // 100
+    assert per_rep == 2 * PROBE_LINES + 3
+    reps = [trace[k:k + per_rep] for k in range(0, len(trace), per_rep)]
+    shared = [ev for ev in reps[0] if ev.window is None]  # flushes, measures
+    assert len(shared) == 2 * PROBE_LINES
+    windows = set()
+    for rep in reps:
+        assert all(a is b for a, b in zip(rep[:PROBE_LINES] + rep[-PROBE_LINES:], shared))
+        opened, load, squash = rep[PROBE_LINES:PROBE_LINES + 3]
+        assert opened.window == load.window == squash.window
+        windows.add(opened.window)
+    assert len(windows) == 100
+    # and another trace shares them too
+    assert build_trace("poc", 0, cfg)[0] is trace[0]
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_reps_below_one_is_rejected(reps):
+    cfg = scenario_config("table1:1", "baseline")
+    with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
+        build_trace("table1:1", 1, cfg, reps=reps)

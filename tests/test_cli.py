@@ -118,3 +118,12 @@ def test_non_integer_level_value_is_a_config_error(tmp_path, capsys, section, ke
 def test_bad_argument_is_an_error_line_not_a_traceback(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["poc"], ["attack", "table1:1"], ["sweep"]], ids=["poc", "attack", "sweep"])
+def test_reps_below_one_is_an_error_line(capsys, argv, reps):
+    assert main(argv + ["--reps", reps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: reps must be at least 1, got {reps}\n"
+    assert captured.out == ""

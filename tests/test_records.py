@@ -11,6 +11,7 @@ it builds no frozen dataclass but a committed RFO's grant.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import importlib
 import pkgutil
 import random
@@ -19,7 +20,7 @@ import sys
 import pytest
 
 import specsim
-from specsim.cache import CacheGeometry, CohState, LevelId
+from specsim.cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, LevelId
 from specsim.coherence import DelayedOp, Directory, StoreGrant
 from specsim.domains import CacheLevel
 from specsim.engine import Engine, LatencyClass, TimingObservation, _Pending
@@ -34,7 +35,7 @@ _LEVEL = CacheLevel(CacheGeometry(LevelId.L1D, 1, 2), 1, 1)
 # each record with a value for every field, in field order
 RECORDS = [
     (TraceEvent, dict(kind=EventKind.LOAD, thread=1, addr=0x40, window=2, mgmt_op=None)),
-    (TimingObservation, dict(index=3, thread=1, addr=0x40, line=1, latency=9, klass=LatencyClass.HIT)),
+    (TimingObservation, dict(index=3, thread=1, addr=0x40, latency=9, klass=LatencyClass.HIT)),
     (Notification, dict(window=1, thread=0, line=4, level=LevelId.L1D, kind=NotifKind.COMMIT, is_store=True)),
     (AccessRecord, dict(line=4, l1=LevelId.L1I, is_store=True)),
     (DelayedOp, dict(thread=1, line=4, is_store=True, is_ifetch=False)),
@@ -63,6 +64,15 @@ def test_record_defaults_are_unchanged():
     assert Notification(1, 0, 4, LevelId.L2, NotifKind.SQUASH).is_store is False
     assert AccessRecord(4, LevelId.L1D).is_store is False
     assert DelayedOp(0, 4) == (0, 4, False, False)
+
+
+@pytest.mark.parametrize("addr", [0, 0x40, 0x7F, 0x1_0000_0040, 2**64 - 1, 2**64, 2**64 + 0x80])
+def test_observation_line_is_derived_from_its_address(addr):
+    obs = TimingObservation(0, 0, addr, 1, LatencyClass.HIT)
+    assert obs.line == (addr & ADDR_MASK) // LINE_SIZE
+    assert "line" not in TimingObservation._fields
+    with pytest.raises(AttributeError):
+        obs.line = 0
 
 
 def test_trace_event_constructors_build_by_keyword():
@@ -158,3 +168,28 @@ def test_step_builds_no_frozen_dataclass_but_an_rfo_grant(mode, smt):
     for cls, args in frozen:
         assert cls is StoreGrant and args["invalidate_cores"], (cls.__name__, args)
     assert eng.report.counters["rfo_invalidations"] >= len(frozen)
+
+
+@pytest.mark.parametrize("mode", ["specbox", "baseline"])
+@pytest.mark.parametrize("smt", [1, 2])
+def test_step_hashes_no_plain_enum(mode, smt):
+    """A plain ``Enum`` hashes in Python: no dict or set on the step
+    path may be keyed by one (``IntEnum`` hashes as its int)."""
+    cfg = small_config(mode=mode, smt=smt)
+    enum_hash = enum.Enum.__hash__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is enum_hash:
+            calls += 1
+
+    eng = Engine(cfg)
+    events = list(random_events(random.Random(40 + smt), cfg, 3000))
+    sys.setprofile(profile)
+    try:
+        for ev in events:
+            eng.step(ev)
+    finally:
+        sys.setprofile(None)
+    assert calls == 0

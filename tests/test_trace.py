@@ -136,3 +136,22 @@ def test_rejected_forms_name_their_line(line, message):
     with pytest.raises(TraceParseError) as exc:
         parse_trace(f"OPEN t0 w1\n\n{line}\n")
     assert str(exc.value) == f"line 3: {message}"
+
+
+def test_identical_lines_share_one_event():
+    text = "LOAD t0 0x40\nMEASURE t1 0x80\n\nLOAD t0 0x40\n# LOAD t0 0x40\nMEASURE t1 0x80\n"
+    evs = parse_trace(text)
+    assert evs == [TraceEvent.load(0, 0x40), TraceEvent.measure(1, 0x80)] * 2
+    assert evs[0] is evs[2] and evs[1] is evs[3]
+    # sharing is per call: another parse builds its own events
+    assert parse_trace(text)[0] is not evs[0]
+
+
+@pytest.mark.parametrize("earlier, bad, message", [
+    ("LOAD t0 0x40 # wx", "LOAD t0 0x40 wx", "bad window 'wx'"),
+    ("MEASURE t0 0x40", "MEASURE t0 0x 40", "usage: MEASURE <thread> <addr>"),
+    ("# BOGUS t0", "BOGUS t0", "unknown event 'BOGUS'"),
+], ids=["comment", "spacing", "commented-out"])
+def test_bad_line_after_a_near_twin_names_its_own_line(earlier, bad, message):
+    with pytest.raises(TraceParseError, match=f"^line 3: {message}"):
+        parse_trace(f"{earlier}\n{earlier}\n{bad}\n")
