@@ -232,9 +232,14 @@ def _poc_blocks() -> tuple[tuple[int, ...], tuple[TraceEvent, ...], tuple[TraceE
     return probes, flushes, measures
 
 
-def _poc(cfg: SimConfig, bit: int, ids: _Ids, secret: int = 79) -> list[TraceEvent]:
+def check_secret(secret: int) -> None:
+    """Raise InvalidLine unless `secret` indexes a line of the probe array."""
     if not 0 <= secret < PROBE_LINES:
         raise InvalidLine(f"secret {secret} out of range 0..{PROBE_LINES - 1}")
+
+
+def _poc(cfg: SimConfig, bit: int, ids: _Ids, secret: int = 79) -> list[TraceEvent]:
+    check_secret(secret)
     probes, flushes, measures = _poc_blocks()
     w = ids()
     window = [TraceEvent.open(0, w)]

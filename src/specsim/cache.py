@@ -22,6 +22,10 @@ probe.  The victim for a fill is chosen in one pass over the ways
 The full eviction order is built only where a caller walks it.  Ways
 that have never held a line share one read-only metadata object per
 domain, so building a hierarchy allocates no per-way objects.
+
+Promoting a committed line is one call, ``promote``: it picks the
+persistent victim, drops its line, swaps the two ways' labels and
+stamps the promoted line.
 """
 
 from __future__ import annotations
@@ -132,12 +136,12 @@ class CacheSet:
     The initial labelling puts the last cap_t ways in the temporary
     domain; every way starts invalid, with the shared metadata of an
     unused way.  Domain counts only ever change through explicit
-    relabel calls.
+    relabel calls (`promote` swaps two labels, so it changes none).
 
     `index` maps the tag of every valid way to that way.  Only
-    `install` and `invalidate` write a way's tag or valid bit, and both
-    keep the index current, so callers may read it but never write it.
-    A tag is resident in at most one way of a set.
+    `install`, `invalidate` and `promote` write a way's tag or valid
+    bit, and all keep the index current, so callers may read it but
+    never write it.  A tag is resident in at most one way of a set.
     """
 
     __slots__ = ("ways", "index")
@@ -229,6 +233,32 @@ class CacheSet:
             self.ways[way] = _UNUSED_T if domain is Domain.TEMPORARY else _UNUSED_P
         else:
             meta.domain = domain
+
+    def promote(self, way: int, stamp: int) -> int | None:
+        """Move the valid temporary line at `way` into the persistent
+        domain by swapping labels with the persistent victim way, so
+        neither domain changes size.  The victim's line, if it held
+        one, is dropped and its tag returned; the promoted line loses
+        its owners and is stamped `stamp`."""
+        ways = self.ways
+        victim = self.select_victim(Domain.PERSISTENT)
+        vmeta = ways[victim]
+        evicted = None
+        if vmeta.valid:
+            evicted = vmeta.tag
+            del self.index[evicted]
+            vmeta.valid = False
+            vmeta.owner_mask = 0
+            vmeta.coh_state = CohState.INVALID
+        if type(vmeta) is _UnusedWay:
+            ways[victim] = _UNUSED_T
+        else:
+            vmeta.domain = Domain.TEMPORARY
+        meta = ways[way]
+        meta.domain = Domain.PERSISTENT
+        meta.owner_mask = 0
+        meta.recency = stamp
+        return evicted
 
     def snapshot(self) -> tuple:
         return tuple(m.snapshot() for m in self.ways)

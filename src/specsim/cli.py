@@ -19,6 +19,7 @@ from .attacks import (
     PROBE_BASE,
     InvalidLine,
     ScenarioResult,
+    check_secret,
     run_scenario,
     scenario_names,
 )
@@ -174,6 +175,7 @@ def _print_result(res: ScenarioResult, verbose: bool) -> None:
 
 
 def _cmd_attack(args) -> int:
+    check_secret(args.secret)  # before any scenario prints its verdict
     names = scenario_names() if args.scenario == "all" else [args.scenario]
     modes = ("baseline", "specbox") if args.mode == "both" else (args.mode,)
     ok = True
@@ -196,6 +198,7 @@ def _recovered_bytes(res: ScenarioResult) -> list[int]:
 
 
 def _cmd_poc(args) -> int:
+    check_secret(args.secret)  # before any mode prints its result
     for mode in ("baseline", "specbox"):
         res = run_scenario("poc", mode, reps=args.reps, secret=args.secret)
         hot = _recovered_bytes(res)

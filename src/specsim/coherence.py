@@ -151,10 +151,11 @@ class Directory:
         if line not in self._entries:
             self._entries[line] = DirEntry(state=state)
 
-    def remove_sharer(self, line: int, core: int) -> None:
+    def remove_sharers(self, line: int, cores: int) -> None:
+        """Clear the sharer bits of the cores in the mask `cores`."""
         e = self._entries.get(line)
         if e is not None:
-            e.sharers &= ~(1 << core)
+            e.sharers &= ~cores
 
     def downgrade(self, line: int) -> None:
         e = self._entries.get(line)
@@ -171,8 +172,11 @@ class Directory:
         e.owner = core
         e.sharers &= 1 << core
 
-    def drop(self, line: int) -> None:
-        self._entries.pop(line, None)
+    def drop(self, line: int) -> int:
+        """Delete the line's entry; return the sharer mask it had (0 if
+        there was none), the cores whose L1 copies must go with it."""
+        e = self._entries.pop(line, None)
+        return e.sharers if e is not None else 0
 
     # -- introspection ----------------------------------------------------
 

@@ -12,8 +12,9 @@ makes speculation invisible to later timing probes:
    persistent domain it is LRU.  Invalid ways are always preferred.
  * Commit moves a line from the temporary domain into the persistent
    domain by swapping labels with a persistent victim, so the count
-   invariant is maintained without copying data between ways.  A
-   committed access is its own commit: both run ``access_committed``.
+   invariant is maintained without copying data between ways; the
+   swap is one call, the set's ``promote``.  A committed access is its
+   own commit: both run ``access_committed``.
  * Squash simply invalidates the temporary way; the label stays.
 
 Owner masks (see :mod:`.ownership`) are maintained unconditionally so
@@ -27,15 +28,20 @@ Every line lookup here is one probe of the set's tag index (see
 line by a mask and a shift, and every fill picks its victim in one pass
 (the set's ``select_victim``, or the ownership scan for a gated
 temporary fill); only ``reconfigure`` walks a full ``victim_order``.
-Only fills, not lookups, grow with the associativity.
+Only fills, not lookups, grow with the associativity.  Past the
+lookup, a committed hit is one ``CacheSet`` call (``touch``), a
+promotion one (``promote``) and a drop one (``invalidate``); this
+module writes no way metadata itself but owner masks and coherence
+states.
 
 The paths return a plain :class:`AccessOutcome`, ``reconfigure`` the
 lines it dropped.  A valid line that a fill or a promotion displaces
 goes, once, to the level's ``on_evict`` hook as it leaves; every line
-a fill installs then goes to ``on_fill`` with its coherence state.  The
-default hooks do nothing; the engine's keep the inclusive hierarchy and
-the directory in step.  Lines that an op drops on purpose (a squash,
-``invalidate_line``, ``reconfigure``) are not reported.
+a fill installs then goes to ``on_fill`` with its coherence state,
+both passed positionally.  The default hooks do nothing; the engine's
+keep the inclusive hierarchy and the directory in step.  Lines that an
+op drops on purpose (a squash, ``invalidate_line``, ``reconfigure``)
+are not reported.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class CacheLevel:
 
     def on_fill(self, line: int, state: CohState) -> None:
         """Like ``on_evict``, for each line a fill installs and the
-        state it holds; `state` is always passed by keyword."""
+        state it holds; both are passed positionally."""
 
     # -- bookkeeping -------------------------------------------------
 
@@ -166,12 +172,17 @@ class CacheLevel:
             self._install(si, line, Domain.PERSISTENT, 0, coh_state)
             return AccessOutcome.MISS_INSTALLED
 
-        way = None
+        # the owner bit is 1 << thread once the thread is known to be in
+        # range: find_evictable checks it, or else bit() raises here
         if self.protected:
             way = self.ownership.find_evictable(cset, thread)
             if way is None:
                 return AccessOutcome.MISS_BYPASSED
-        self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh_state, way)
+        else:
+            way = None
+            if not 0 <= thread < self.ownership.num_threads:
+                self.ownership.bit(thread)
+        self._install(si, line, Domain.TEMPORARY, 1 << thread, coh_state, way)
         return AccessOutcome.MISS_INSTALLED
 
     def access_committed(
@@ -187,11 +198,13 @@ class CacheLevel:
         cset = self.sets[si]
         way = cset.index.get(line >> self._tag_shift)
         if way is not None:
+            self._clock += 1
             if cset.ways[way].domain is Domain.PERSISTENT:
-                self._clock += 1
                 cset.touch(way, self._clock)
                 return AccessOutcome.HIT
-            self._promote(si, way)
+            evicted = cset.promote(way, self._clock)
+            if evicted is not None:
+                self.on_evict(evicted << self._tag_shift | si)
             return AccessOutcome.PROMOTED
         self._install(si, line, Domain.PERSISTENT, 0, coh_state)
         return AccessOutcome.MISS_INSTALLED
@@ -211,7 +224,8 @@ class CacheLevel:
         if way is None:
             return AccessOutcome.MISS_BYPASSED
         coh = CohState.MODIFIED if is_store else CohState.SHARED
-        self._install(si, line, Domain.TEMPORARY, self.ownership.bit(thread), coh, way)
+        # find_evictable has range-checked the thread
+        self._install(si, line, Domain.TEMPORARY, 1 << thread, coh, way)
         return AccessOutcome.MISS_INSTALLED
 
     # -- window resolution -------------------------------------------
@@ -313,25 +327,7 @@ class CacheLevel:
         cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state, self._clock)
         if evicted is not None:
             self.on_evict(evicted)
-        self.on_fill(line, state=coh_state)
-
-    def _promote(self, set_index: int, way: int) -> None:
-        """Swap the temporary line at `way` into the persistent domain,
-        reporting the persistent victim it evicts to ``on_evict``."""
-        cset = self.sets[set_index]
-        victim = cset.select_victim(Domain.PERSISTENT)
-        vmeta = cset.ways[victim]
-        evicted = None
-        if vmeta.valid:
-            evicted = vmeta.tag << self._tag_shift | set_index
-            cset.invalidate(victim)
-        cset.relabel(victim, Domain.TEMPORARY)
-        cset.relabel(way, Domain.PERSISTENT)
-        cset.ways[way].owner_mask = 0
-        self._clock += 1
-        cset.touch(way, self._clock)
-        if evicted is not None:
-            self.on_evict(evicted)
+        self.on_fill(line, coh_state)
 
     # -- introspection -----------------------------------------------
 

@@ -31,6 +31,9 @@ resolves and an access's L1 and L2 notes never merge; the buffer's
 ``pass_through`` counts what its own policy would have forced out.
 
 No access path notes a fill or an eviction: the levels' hooks do.
+``step`` tests the two kinds of the flush/probe loop (MEASURE, then
+MGMT) first, and the latencies, core count and prefetch flag it reads
+per event are attributes set at construction (``SimConfig`` is frozen).
 
 The per-probe :class:`TimingObservation` and the parked-fill record
 are ``NamedTuple``s, built at a tuple's cost on the hot path.  An
@@ -45,7 +48,6 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
@@ -140,10 +142,18 @@ class Engine:
         self.nfb = NotificationBuffer(cfg.nfb_capacity)
         self._pending: list[_Pending] = []
         self.report = SimReport(mode=cfg.mode)
-        # read on every event; cfg.num_threads is a computed property
+        # read on every event, so held here rather than read through
+        # cfg (cfg.num_threads is a computed property)
         self._nthreads = nthreads
         self._smt = cfg.smt
+        self._cores = cfg.cores
         self._baseline = cfg.mode == "baseline"
+        self._prefetch = cfg.prefetch
+        lat = cfg.latency
+        self._l1_hit, self._memory = lat.l1_hit, lat.memory
+        self._l2_local, self._l2_remote = lat.l2_local, lat.l2_remote
+        self._hit_below = cfg.thresholds.hit_below
+        self._miss_above = cfg.thresholds.miss_above
         self._hook_levels()
 
     # -- plumbing ------------------------------------------------------
@@ -154,7 +164,8 @@ class Engine:
         the L2's counts a back-invalidation and drops the line's L1
         copies and directory entry (inclusion); core c's L1I and L1D one
         clears c's sharer bit unless c's other L1 still holds the line.
-        on_fill is the directory's note_l2_fill, or note_l1_fill for c.
+        on_fill is the directory's note_l2_fill, or a closure that passes
+        c to its note_l1_fill.
         """
         # a weak proxy: hooks holding the engine itself would make an
         # engine -> level -> hook -> engine cycle that only the cyclic
@@ -163,30 +174,26 @@ class Engine:
 
         def l2_evicted(line: int) -> None:
             me.report.counters["l2_back_invalidations"] += 1
-            me._back_invalidate(line)
+            me._invalidate_l1_copies(line, me.directory.drop(line))
 
         self.l2.on_evict = l2_evicted
-        # the fill hooks add no Python frame and hold no engine
+        # the fill hooks hold the directory's bound methods, not the
+        # engine; a level calls on_fill positionally, which a closure
+        # takes at about half the cost of a partial given a keyword
         self.l2.on_fill = self.directory.note_l2_fill
-        for core in range(self.cfg.cores):
+        note_l1_fill = self.directory.note_l1_fill
+        for core in range(self._cores):
             def l1_evicted(line: int, core: int = core) -> None:
                 me._l1_presence_refresh(line, core)
 
-            l1_filled = partial(self.directory.note_l1_fill, core=core)
+            def l1_filled(line: int, state: CohState, core: int = core) -> None:
+                note_l1_fill(line, core, state)
+
             for lv in (self.l1i[core], self.l1d[core]):
                 lv.on_evict, lv.on_fill = l1_evicted, l1_filled
 
     def core_of(self, thread: int) -> int:
         return thread // self._smt
-
-    def _l2_latency(self, core: int, line: int) -> int:
-        lat = self.cfg.latency
-        if line % self.cfg.cores == core:
-            return lat.l2_local
-        return lat.l2_remote
-
-    def _full_miss_latency(self, core: int, line: int) -> int:
-        return self.cfg.latency.l1_hit + self._l2_latency(core, line) + self.cfg.latency.memory
 
     def fingerprint(self) -> tuple:
         return (
@@ -199,36 +206,34 @@ class Engine:
     # -- directory upkeep ------------------------------------------------
 
     def _l1_presence_refresh(self, line: int, core: int) -> None:
-        if self.l1i[core].lookup(line) is None and self.l1d[core].lookup(line) is None:
-            self.directory.remove_sharer(line, core)
+        if (self.l1i[core].resident_domain(line) is None
+                and self.l1d[core].resident_domain(line) is None):
+            self.directory.remove_sharers(line, 1 << core)
 
     def _invalidate_l1_copies(self, line: int, cores: int) -> None:
         """Drop `line` from the L1I and L1D of every core in the mask
-        `cores` and clear their sharer bits.  Every valid L1 line has
-        its sharer bit, so the directory's sharer mask names every core
-        that can hold a copy."""
+        `cores`.  Every valid L1 line has its sharer bit, so the
+        directory's sharer mask names every core that can hold a copy;
+        the caller clears those bits.  A line leaving the L2 takes its
+        L1 copies with it (inclusion): that back-invalidation passes
+        the mask that ``Directory.drop`` returns as it deletes the entry."""
         core = 0
         while cores:
             if cores & 1:
                 self.l1i[core].invalidate_line(line)
                 self.l1d[core].invalidate_line(line)
-                self.directory.remove_sharer(line, core)
             cores >>= 1
             core += 1
-
-    def _back_invalidate(self, line: int) -> None:
-        """Drop every L1 copy and the directory entry of a line that is
-        leaving the L2 (inclusion: the L1 copies die with it)."""
-        self._invalidate_l1_copies(line, self.directory.sharers(line))
-        self.directory.drop(line)
 
     # -- speculative access path -----------------------------------------
 
     def _inflight_access(
-        self, thread: int, window_id: int, ops: list, line: int, is_store: bool, is_ifetch: bool
-    ) -> int:
-        """Run one access in flight inside window `window_id`, append it
-        to the window's op log `ops`, and return its latency."""
+        self, thread: int, window_id: int, line: int, is_store: bool, is_ifetch: bool
+    ) -> tuple[int, DelayedOp | None]:
+        """Run one access in flight inside window `window_id`.  Returns
+        its latency and, if the coherence delay held it back without
+        touching any level, the DelayedOp to replay at commit; the
+        caller logs the access (or the DelayedOp) to the window."""
         core = thread // self._smt
         l1 = (self.l1i if is_ifetch else self.l1d)[core]
         ctr = self.report.counters
@@ -246,12 +251,13 @@ class Engine:
             lgrant = self.directory.grant_load(line, core, True)
             delayed, grant = lgrant.delayed, lgrant.grant
 
+        l2_lat = self._l2_local if line % self._cores == core else self._l2_remote
         if delayed:
             ctr["delayed_coherence"] += 1
-            ops.append((OpKind.DELAYED, DelayedOp(thread, line, is_store, is_ifetch)))
-            return self._full_miss_latency(core, line)
+            full_miss = self._l1_hit + l2_lat + self._memory
+            return full_miss, DelayedOp(thread, line, is_store, is_ifetch)
 
-        latency = self.cfg.latency.l1_hit
+        latency = self._l1_hit
         r1 = l1.access_inflight(line, thread, grant)
         if r1 is AccessOutcome.HIT:
             ctr["l1_hits"] += 1
@@ -261,12 +267,12 @@ class Engine:
                 self._pending.append(_Pending(l1, core, thread, window_id, line, is_store))
             elif r1 is AccessOutcome.EMULATED_MISS:
                 ctr["emulated_misses"] += 1
-            latency += self._l2_latency(core, line)
+            latency += l2_lat
             r2 = self.l2.access_inflight(line, thread, grant)
             if r2 is AccessOutcome.HIT:
                 ctr["l2_hits"] += 1
             else:
-                latency += self.cfg.latency.memory
+                latency += self._memory
                 ctr["memory_fills"] += 1
                 if r2 is AccessOutcome.MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
@@ -279,18 +285,12 @@ class Engine:
             self.l2.set_coh_state(line, CohState.MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
-        # the recorded footprint (its L1, then the L2) always spans both
-        # levels, not just the ones this lookup consulted: the hierarchy
-        # is inclusive, so a commit must be able to repair an L2 copy torn
-        # down by a sibling window's squash even when the access itself
-        # hit at L1, and a squash must purge the L2 copy for the same reason
-        ops.append((OpKind.ACCESS, AccessRecord(line, l1.geometry.level_id, is_store)))
         ctr["inflight_accesses"] += 1
-        return latency
+        return latency, None
 
     # -- committed access path ---------------------------------------------
 
-    def _purge_speculative_copies(self, line: int) -> None:
+    def _purge_speculative_copies(self, line: int, l2_dom: Domain | None) -> None:
         """Committed accesses never consume speculative state.
 
         Commits always re-establish the L2 copy of their lines, so a
@@ -299,18 +299,12 @@ class Engine:
         re-install at commit) and the line refetched as a clean miss,
         which keeps the committed world identical to one in which the
         speculation never happened -- most visibly the E-vs-S grant of
-        the fetch that follows.
+        the fetch that follows.  `l2_dom` is the L2 copy's domain; the
+        caller has checked that there is something to drop.
         """
-        l2_dom = self.l2.resident_domain(line)
-        if l2_dom is Domain.PERSISTENT:
-            return
-        # an L1 copy implies a directory entry, so no entry and no L2
-        # copy means nothing to drop
-        if l2_dom is None and self.directory.entry(line) is None:
-            return
         if l2_dom is not None:
             self.l2.invalidate_line(line)
-        self._back_invalidate(line)
+        self._invalidate_l1_copies(line, self.directory.drop(line))
         self.report.counters["spec_purges"] += 1
 
     def _committed_grant(self, line: int, core: int, is_store: bool) -> tuple[CohState, bool]:
@@ -324,9 +318,11 @@ class Engine:
         ctr = self.report.counters
         if is_store:
             sgrant = self.directory.grant_store(line, core, False, False)
-            if sgrant.invalidate_cores:
-                self._invalidate_l1_copies(line, sgrant.invalidate_cores)
-                ctr["rfo_invalidations"] += sgrant.invalidate_cores.bit_count()
+            cores = sgrant.invalidate_cores
+            if cores:
+                self._invalidate_l1_copies(line, cores)
+                self.directory.remove_sharers(line, cores)
+                ctr["rfo_invalidations"] += cores.bit_count()
             return sgrant.grant, sgrant.recall
         lgrant = self.directory.grant_load(line, core, False)
         if lgrant.recall:
@@ -349,22 +345,29 @@ class Engine:
         core = thread // self._smt
         l1 = (self.l1i if is_ifetch else self.l1d)[core]
         ctr = self.report.counters
-        self._purge_speculative_copies(line)
+        l2_dom = self.l2.resident_domain(line)
+        # an L1 copy implies a directory entry, so no entry and no L2
+        # copy means nothing to purge
+        if l2_dom is not Domain.PERSISTENT and (
+            l2_dom is not None or self.directory.entry(line) is not None
+        ):
+            self._purge_speculative_copies(line, l2_dom)
         grant, recalled = self._committed_grant(line, core, is_store)
         if spec_fill and grant is CohState.EXCLUSIVE:
             # a speculative access never earns exclusivity, even on
             # a hierarchy that installs it right away
             grant = CohState.SHARED
 
-        latency = self.cfg.latency.l1_hit
+        l2_lat = self._l2_local if line % self._cores == core else self._l2_remote
+        latency = self._l1_hit
         if l1.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
             ctr["l1_hits"] += 1
         else:
-            latency += self._l2_latency(core, line)
+            latency += l2_lat
             if self.l2.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
                 ctr["l2_hits"] += 1
             else:
-                latency += self.cfg.latency.memory
+                latency += self._memory
                 ctr["memory_fills"] += 1
 
         if is_store:
@@ -373,9 +376,10 @@ class Engine:
             self.directory.upgrade_for_store(line, core)
 
         ctr["committed_accesses"] += 1
-        if self.cfg.prefetch and not is_ifetch:
+        if self._prefetch and not is_ifetch:
             self._prefetch_line(line + 1, thread)
-        return self._full_miss_latency(core, line) if recalled else latency
+        # a recall waits on the remote owner: a full miss
+        return self._l1_hit + l2_lat + self._memory if recalled else latency
 
     # -- management & prefetch ----------------------------------------------
 
@@ -391,7 +395,7 @@ class Engine:
             self._prefetch_line(line, thread)
         else:  # flush / invd: no dirty data is modelled, both invalidate
             self.l2.invalidate_line(line)
-            self._back_invalidate(line)
+            self._invalidate_l1_copies(line, self.directory.drop(line))
             self.report.counters["lines_flushed"] += 1
         self.report.counters["mgmt_ops"] += 1
 
@@ -419,12 +423,12 @@ class Engine:
                 # the L1 and L2 notes of one access can drain in either
                 # order (merging reorders them), so check for a fully
                 # dead entry after every drop, not just the L2 one
-                if self.directory.sharers(line) == 0 and self.l2.lookup(line) is None:
+                if self.directory.sharers(line) == 0 and self.l2.resident_domain(line) is None:
                     self.directory.drop(line)
             return
 
         coh = CohState.EXCLUSIVE
-        if level.lookup(line) is None:
+        if level.resident_domain(line) is None:
             # a commit-time re-install is fetched like a committed access,
             # but kept at S so a committed line looks the same whether it
             # was promoted in place or fetched back
@@ -525,30 +529,29 @@ class Engine:
         else:
             # a one-shot window, committed on the spot (module docstring):
             # a suspended fill dies with it, as any window's does
-            ops: list = []
             pending = len(self._pending)
-            latency = self._inflight_access(thread, PROBE_WINDOW, ops, line, False, False)
+            latency, delayed = self._inflight_access(thread, PROBE_WINDOW, line, False, False)
             del self._pending[pending:]
             ctr["windows_committed"] += 1
             nfb = self.nfb
-            ((op, payload),) = ops
-            if op is OpKind.ACCESS:
+            if delayed is None:
                 nfb.pass_through(2)
                 self._deliver(thread, line, LevelId.L1D, NotifKind.COMMIT, False)
                 self._deliver(thread, line, LevelId.L2, NotifKind.COMMIT, False)
             else:
-                self._exec_deferred(op, payload, thread)
+                self._exec_deferred(OpKind.DELAYED, delayed, thread)
             ctr["nfb_merged"] = nfb.merged
             ctr["nfb_forced_out"] = nfb.forced_out
-        th = self.cfg.thresholds
-        if latency < th.hit_below:
+        if latency < self._hit_below:
             klass = LatencyClass.HIT
-        elif latency > th.miss_above:
+        elif latency > self._miss_above:
             klass = LatencyClass.MISS
         else:
             klass = LatencyClass.AMBIGUOUS
         observations = self.report.observations
-        obs = TimingObservation(len(observations), thread, addr, latency, klass)
+        # tuple.__new__ builds the record without the Python frame of
+        # the NamedTuple's generated __new__; the fields are in order
+        obs = tuple.__new__(TimingObservation, (len(observations), thread, addr, latency, klass))
         observations.append(obs)
         ctr["measures"] += 1
         return obs
@@ -561,7 +564,7 @@ class Engine:
             raise NotQuiescent("cannot reconfigure while speculative windows are open")
         if level_name == "l2":
             for line in self.l2.reconfigure(new_cap_t):
-                self._back_invalidate(line)
+                self._invalidate_l1_copies(line, self.directory.drop(line))
         elif level_name in ("l1i", "l1d"):
             bank = self.l1i if level_name == "l1i" else self.l1d
             for core, lv in enumerate(bank):
@@ -601,37 +604,49 @@ class Engine:
                 rec = self.windows.get_open(window)
                 if rec.thread != thread:
                     raise ValueError(f"window {window} belongs to thread {rec.thread}, not {thread}")
-        baseline = self._baseline
-        if kind is EventKind.OPEN:
-            self.windows.open(window, thread)
+        # the flush/probe loop's two kinds first: they are nearly every
+        # event of a flush+reload attack
+        if kind is EventKind.MEASURE:
+            self._measure(thread, addr)
+        elif kind is EventKind.MGMT:
+            if rec is None or self._baseline:
+                self._exec_mgmt(ev.mgmt_op, line, thread)
+            else:
+                rec.record(OpKind.MGMT, (ev.mgmt_op, line))
         elif kind in (EventKind.LOAD, EventKind.STORE, EventKind.IFETCH):
             is_store = kind is EventKind.STORE
             is_ifetch = kind is EventKind.IFETCH
             if rec is None:
                 self._committed_line_access(thread, line, is_store, is_ifetch)
-            elif baseline:
+            elif self._baseline:
                 self._committed_line_access(thread, line, is_store, is_ifetch, spec_fill=True)
             else:
-                self._inflight_access(thread, window, rec.ops, line, is_store, is_ifetch)
-        elif kind is EventKind.PREFETCH:
-            self._prefetch_line(line, thread)
-        elif kind is EventKind.MGMT:
-            if rec is None or baseline:
-                self._exec_mgmt(ev.mgmt_op, line, thread)
-            else:
-                rec.record(OpKind.MGMT, (ev.mgmt_op, line))
-        elif kind is EventKind.TLBMISS_LOAD:
-            if baseline:
-                self._committed_line_access(thread, line, False, False, spec_fill=True)
-            else:
-                rec.record(OpKind.TLB, line)
-                self.report.counters["tlb_deferred"] += 1
+                delayed = self._inflight_access(thread, window, line, is_store, is_ifetch)[1]
+                if delayed is None:
+                    # the logged footprint (its L1, then the L2) always
+                    # spans both levels, not just the ones the lookup
+                    # consulted: the hierarchy is inclusive, so a commit
+                    # must be able to repair an L2 copy torn down by a
+                    # sibling window's squash even when the access hit at
+                    # L1, and a squash must purge the L2 copy likewise
+                    l1_id = LevelId.L1I if is_ifetch else LevelId.L1D
+                    rec.ops.append((OpKind.ACCESS, AccessRecord(line, l1_id, is_store)))
+                else:
+                    rec.ops.append((OpKind.DELAYED, delayed))
+        elif kind is EventKind.OPEN:
+            self.windows.open(window, thread)
         elif kind is EventKind.COMMIT:
             self._resolve(window, NotifKind.COMMIT)
         elif kind is EventKind.SQUASH:
             self._resolve(window, NotifKind.SQUASH)
-        elif kind is EventKind.MEASURE:
-            self._measure(thread, addr)
+        elif kind is EventKind.PREFETCH:
+            self._prefetch_line(line, thread)
+        elif kind is EventKind.TLBMISS_LOAD:
+            if self._baseline:
+                self._committed_line_access(thread, line, False, False, spec_fill=True)
+            else:
+                rec.record(OpKind.TLB, line)
+                self.report.counters["tlb_deferred"] += 1
         # BARRIER: the retry sweep below is the fence
         if self._pending:
             self._retry_suspended()

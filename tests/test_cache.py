@@ -188,3 +188,46 @@ def test_tag_index_and_victim_choice_match_linear_scans(ops):
                     cset.select_victim(d)
             else:
                 assert cset.select_victim(d) == cset.victim_order(d)[0]
+
+
+def _promote_by_steps(cset, way, stamp):
+    """The five fine-grained calls that `promote` folds into one."""
+    victim = cset.select_victim(Domain.PERSISTENT)
+    vmeta = cset.ways[victim]
+    evicted = vmeta.tag if vmeta.valid else None
+    cset.invalidate(victim)
+    cset.relabel(victim, Domain.TEMPORARY)
+    cset.relabel(way, Domain.PERSISTENT)
+    cset.ways[way].owner_mask = 0
+    cset.touch(way, stamp)
+    return evicted
+
+
+@given(st.lists(st.tuples(st.sampled_from(["install", "install", "touch", "invalidate"]),
+                          st.integers(min_value=0, max_value=5),
+                          st.integers(min_value=0, max_value=11)),
+                max_size=40),
+       st.integers(min_value=0, max_value=1))
+@settings(max_examples=300)
+def test_promote_matches_its_fine_grained_steps(ops, pick):
+    """`promote` leaves the ways, the tag index and the evicted tag
+    exactly as select_victim, invalidate, two relabels and touch do."""
+    sets = [CacheSet(6, 2), CacheSet(6, 2)]
+    for op, way, tag in ops:
+        for cset in sets:
+            meta = cset.ways[way]
+            if op == "install" and cset.index.get(tag, way) == way:
+                cset.install(way, tag, meta.domain, 0b10, CohState.SHARED, tag // 3)
+            elif op == "touch" and meta.valid:
+                cset.touch(way, tag // 3)
+            elif op == "invalidate":
+                cset.invalidate(way)
+    temporary = [i for i, m in enumerate(sets[0].ways) if m.valid and m.domain is Domain.TEMPORARY]
+    if not temporary:
+        return
+    way = temporary[pick % len(temporary)]
+    folded, steps = sets
+    assert folded.promote(way, 99) == _promote_by_steps(steps, way, 99)
+    assert folded.snapshot() == steps.snapshot()
+    assert folded.index == steps.index
+    assert folded.count(Domain.TEMPORARY) == 2

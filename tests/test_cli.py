@@ -112,12 +112,21 @@ def test_non_integer_level_value_is_a_config_error(tmp_path, capsys, section, ke
 
 @pytest.mark.parametrize("argv, message", [
     (["poc", "--secret", "300"], "error: secret 300 out of range 0..255\n"),
+    (["poc", "--secret", "256"], "error: secret 256 out of range 0..255\n"),
+    (["poc", "--secret", "-1"], "error: secret -1 out of range 0..255\n"),
     (["attack", "poc", "--secret", "-1"], "error: secret -1 out of range 0..255\n"),
+    # checked before any scenario runs, whether or not it uses the secret
+    (["attack", "all", "--secret", "256"], "error: secret 256 out of range 0..255\n"),
+    (["attack", "all", "--secret", "-1"], "error: secret -1 out of range 0..255\n"),
+    (["attack", "table1:1", "--secret", "256"], "error: secret 256 out of range 0..255\n"),
     (["sweep", "--caps", "1,x"], "error: --caps takes comma-separated integers, got '1,x'\n"),
-], ids=["poc-secret", "attack-secret", "sweep-caps"])
+], ids=["poc-secret", "poc-secret-256", "poc-secret-neg", "attack-secret", "attack-all-secret-256",
+        "attack-all-secret-neg", "attack-one-secret-256", "sweep-caps"])
 def test_bad_argument_is_an_error_line_not_a_traceback(capsys, argv, message):
     assert main(argv) == 1
-    assert capsys.readouterr().err == message
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])

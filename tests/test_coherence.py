@@ -90,7 +90,7 @@ def test_committed_store_invalidates_remote_sharers():
     g = d.grant_store(4, 1, speculative=False, local_persistent_shared=False)
     assert g.recall
     assert g.invalidate_cores == 0b01  # everyone but the writer
-    d.remove_sharer(4, 0)
+    d.remove_sharers(4, 0b01)
     d.upgrade_for_store(4, 1)
     e = d.entry(4)
     assert e.state is CohState.MODIFIED
@@ -104,10 +104,11 @@ def test_sharer_tracking_and_drop():
     d.note_l1_fill(4, 0, CohState.SHARED)
     d.note_l1_fill(4, 1, CohState.SHARED)
     assert d.sharers(4) == 0b11
-    d.remove_sharer(4, 0)
+    d.remove_sharers(4, 0b01)
     assert d.sharers(4) == 0b10
-    d.drop(4)
+    assert d.drop(4) == 0b10  # the cores whose L1 copies go with it
     assert d.entry(4) is None
+    assert d.drop(4) == 0
     assert d.sharers(4) == 0
     assert d.state(4) is CohState.INVALID
 

@@ -1,11 +1,13 @@
 """Golden digests that pin the model.
 
-Each case steps a fixed ``random_events`` soup through an engine and
-hashes what the run leaves behind: every observation, the sorted
-counters and the final ``Engine.fingerprint()`` (every level's ways and
-the directory).  A change meant to keep the model leaves all of them
-alone.  A change that moves the model on purpose updates the digests
-here and records the old and new values in ``CHANGES.md``.
+Each case steps a fixed trace through an engine and hashes what the
+run leaves behind: every observation, the sorted counters and the final
+``Engine.fingerprint()`` (every level's ways and the directory).  The
+``random_events`` soups run a small hierarchy; the 100-repetition PoC
+runs the flush/probe loop on the default 2 MB one.  A change meant to
+keep the model leaves all of them alone.  A change that moves the model
+on purpose updates the digests here and records the old and new values
+in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 
 import pytest
 
+from specsim.attacks import build_trace, scenario_config
 from specsim.config import LevelParams
 from specsim.engine import Engine
 
@@ -32,17 +35,30 @@ GOLDEN = {
     ("baseline", 2): ("056807522a647110", "d7fde6cd2cb324fc", "1d7c9e58e64f667d"),
 }
 
+POC_REPS = 100
+
+# mode -> digests of the PoC with the secret load (bit 1)
+GOLDEN_POC = {
+    "specbox": ("7aa291c207589781", "2d1b59a4873a9d09", "8fcae3442904e243"),
+    "baseline": ("d2e25f178ad299a1", "316a563e5585b4af", "7ae44a8cc29d8db4"),
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_digests(mode: str, smt: int) -> tuple[str, str, str]:
+def soup_config(mode: str, smt: int):
     # an L2 of 16 sets of 8 ways: the soup's hot lines overflow one set,
     # so L2 evictions, back-invalidations and parked fills all take part
-    cfg = small_config(mode=mode, cores=2, smt=smt, prefetch=True).replaced(l2=SOUP_L2)
-    eng = Engine(cfg)
-    eng.run(list(random_events(random.Random(1000 + smt), cfg, SOUP_EVENTS)))
+    return small_config(mode=mode, cores=2, smt=smt, prefetch=True).replaced(l2=SOUP_L2)
+
+
+def soup_events(cfg, smt: int) -> list:
+    return list(random_events(random.Random(1000 + smt), cfg, SOUP_EVENTS))
+
+
+def engine_digests(eng: Engine) -> tuple[str, str, str]:
     report = eng.report
     observations = "".join(
         f"{o.index} {o.thread} {o.addr:#x} {o.line:#x} {o.latency} {o.klass.value}\n"
@@ -52,6 +68,21 @@ def run_digests(mode: str, smt: int) -> tuple[str, str, str]:
     return _digest(observations), _digest(counters), _digest(repr(eng.fingerprint()))
 
 
+def run_digests(mode: str, smt: int) -> tuple[str, str, str]:
+    cfg = soup_config(mode, smt)
+    eng = Engine(cfg)
+    eng.run(soup_events(cfg, smt))
+    return engine_digests(eng)
+
+
 @pytest.mark.parametrize("mode, smt", sorted(GOLDEN))
 def test_model_matches_its_golden_digests(mode, smt):
     assert run_digests(mode, smt) == GOLDEN[mode, smt]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_POC))
+def test_poc_matches_its_golden_digests(mode):
+    cfg = scenario_config("poc", mode)
+    eng = Engine(cfg)
+    eng.run(build_trace("poc", 1, cfg, reps=POC_REPS))
+    assert engine_digests(eng) == GOLDEN_POC[mode]

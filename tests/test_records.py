@@ -120,7 +120,7 @@ def test_each_committed_rfo_carries_its_own_mask():
     assert (second.invalidate_cores, second.recall) == (0b010, True)
     # a remote owner whose L1 copy has gone leaves nothing to shoot down
     d.note_l1_fill(12, 1, CohState.MODIFIED)
-    d.remove_sharer(12, 1)
+    d.remove_sharers(12, 0b10)
     recall = d.grant_store(12, 0, False, False)
     assert (recall.invalidate_cores, recall.recall) == (0, True)
     assert recall is d.grant_store(12, 2, False, False)
