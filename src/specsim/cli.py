@@ -21,12 +21,13 @@ from .attacks import (
     ScenarioResult,
     check_secret,
     run_scenario,
+    scenario_config,
     scenario_names,
 )
 from .cache import LINE_SIZE, CacheGeometry, Domain, LevelId
 from .config import ConfigError, LevelParams, SimConfig, load_config
 from .domains import AccessOutcome, CacheLevel
-from .engine import Engine
+from .engine import Engine, LatencyClass
 from .notifier import UnknownWindow, WindowClosed
 from .trace import TraceParseError, parse_event
 
@@ -116,16 +117,16 @@ def _fmt_ways(state) -> str:
 def _build_config(args) -> SimConfig:
     cfg = load_config(args.config) if args.config else SimConfig()
     overrides = {}
-    if getattr(args, "mode", None):
+    if args.mode:
         overrides["mode"] = args.mode
     # 0 is a value to validate, not an absent option
-    if getattr(args, "cores", None) is not None:
+    if args.cores is not None:
         overrides["cores"] = args.cores
-    if getattr(args, "smt", None) is not None:
+    if args.smt is not None:
         overrides["smt"] = args.smt
-    if getattr(args, "no_tos", False):
+    if args.no_tos:
         overrides["tos"] = False
-    if getattr(args, "prefetch", False):
+    if args.prefetch:
         overrides["prefetch"] = True
     return cfg.replaced(**overrides) if overrides else cfg.validate()
 
@@ -192,7 +193,7 @@ def _cmd_attack(args) -> int:
 def _recovered_bytes(res: ScenarioResult) -> list[int]:
     hot = set()
     for o in res.reports[1].observations:
-        if o.klass.value == "Hit":
+        if o.klass is LatencyClass.HIT:
             hot.add((o.addr - PROBE_BASE) // LINE_SIZE)
     return sorted(hot)
 
@@ -220,12 +221,12 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print(f"error: --caps takes comma-separated integers, got {args.caps!r}", file=sys.stderr)
         return 1
-    base = SimConfig(mode="specbox", cores=3 if args.scenario.startswith("coherence") else 2)
-    for cap in caps:
-        params = getattr(base, args.level)
-        cfg = base.replaced(
-            **{args.level: LevelParams(params.size_bytes, params.ways, cap)}
-        )
+    base = scenario_config(args.scenario, "specbox")
+    params = getattr(base, args.level)
+    # every cap is validated before any scenario prints its verdict
+    cfgs = [base.replaced(**{args.level: LevelParams(params.size_bytes, params.ways, cap)})
+            for cap in caps]
+    for cap, cfg in zip(caps, cfgs):
         res = run_scenario(args.scenario, "specbox", reps=args.reps, cfg=cfg)
         flag = "LEAK" if res.verdict.leak else "no leak"
         print(f"{args.level} cap_t={cap}: {flag}")

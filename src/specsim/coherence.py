@@ -21,11 +21,16 @@ Committed accesses use plain MESI: loads of a remotely owned line
 recall the owner and downgrade everyone to S, stores invalidate remote
 copies.  Either recall costs full miss latency at the requester.
 
-Every decision but a committed RFO carries no per-call data, so
-:meth:`Directory.grant_load` and :meth:`Directory.grant_store` return
-shared grants built once at import; only the RFO grant, which names
-the cores to shoot down, is built per call.  A :class:`DelayedOp` is a
-``NamedTuple``, and directory entries are slotted.
+:meth:`Directory.grant_load` returns the granted state, or None when
+another core holds the line in E or M: a speculative load is then
+delayed, a committed one recalls the owner and takes S.
+:meth:`Directory.grant_store` returns the mask of other cores' L1
+copies, or None when no other core holds the line: a speculative store
+is then delayed, a committed one shoots those copies down (a mask of 0
+is a remote E/M owner whose L1 copy has gone) and takes M.  The
+persistent-S rule is the engine's, which knows the local copy's
+domain.  A :class:`DelayedOp` is a ``NamedTuple``, and directory
+entries are slotted.
 """
 
 from __future__ import annotations
@@ -43,37 +48,10 @@ class DirEntry:
     sharers: int = 0  # bitmask of cores with an L1 copy
 
 
-@dataclass(frozen=True)
-class LoadGrant:
-    delayed: bool = False
-    recall: bool = False  # remote owner must be downgraded first
-    grant: CohState = CohState.SHARED
-
-
-@dataclass(frozen=True)
-class StoreGrant:
-    delayed: bool = False
-    invalidate_cores: int = 0  # L1 copies to shoot down (committed RFO)
-    recall: bool = False
-    grant: CohState = CohState.MODIFIED
-
-
-# the grants that carry nothing per call, shared by every decision
-_LOAD_SHARED = LoadGrant(grant=CohState.SHARED)
-_LOAD_EXCLUSIVE = LoadGrant(grant=CohState.EXCLUSIVE)
-_LOAD_MODIFIED = LoadGrant(grant=CohState.MODIFIED)
-_LOAD_DELAYED = LoadGrant(delayed=True)
-_LOAD_RECALL = LoadGrant(recall=True, grant=CohState.SHARED)
-_STORE_DELAYED = StoreGrant(delayed=True)
-_STORE_MODIFIED = StoreGrant(grant=CohState.MODIFIED)
-_STORE_RECALL = StoreGrant(recall=True)  # an RFO with no L1 copy to shoot down
-
-
 class Directory:
     def __init__(self, num_cores: int) -> None:
         if num_cores < 1:
             raise ValueError("need at least one core")
-        self.num_cores = num_cores
         self._entries: dict[int, DirEntry] = {}
 
     # -- queries -------------------------------------------------------
@@ -89,49 +67,30 @@ class Directory:
         e = self._entries.get(line)
         return e.sharers if e is not None else 0
 
-    def has_remote_copy(self, line: int, core: int) -> bool:
-        e = self._entries.get(line)
-        if e is None:
-            return False
-        if e.sharers & ~(1 << core):
-            return True
-        return e.state in (CohState.EXCLUSIVE, CohState.MODIFIED) and e.owner != core
-
     # -- access decisions ----------------------------------------------
 
-    def grant_load(self, line: int, core: int, speculative: bool) -> LoadGrant:
+    def grant_load(self, line: int, core: int, speculative: bool) -> CohState | None:
+        """The state a load of `line` by `core` takes, or None when
+        another core holds the line in E or M."""
         e = self._entries.get(line)
         if e is None:
             # untracked line: committed loads take E, speculative only S
-            return _LOAD_SHARED if speculative else _LOAD_EXCLUSIVE
+            return CohState.SHARED if speculative else CohState.EXCLUSIVE
         if e.state is CohState.SHARED:
-            return _LOAD_SHARED
+            return CohState.SHARED
         # E or M somewhere
-        if e.owner == core:
-            # picked by identity: hashing a plain Enum runs in Python
-            return _LOAD_EXCLUSIVE if e.state is CohState.EXCLUSIVE else _LOAD_MODIFIED
-        if speculative:
-            return _LOAD_DELAYED
-        return _LOAD_RECALL
+        return e.state if e.owner == core else None
 
-    def grant_store(
-        self, line: int, core: int, speculative: bool, local_persistent_shared: bool
-    ) -> StoreGrant:
+    def grant_store(self, line: int, core: int) -> int | None:
+        """The mask of other cores' L1 copies of `line`, or None when no
+        other core holds it; a store takes M either way."""
         e = self._entries.get(line)
-        remote = self.has_remote_copy(line, core)
-        if speculative:
-            if remote or local_persistent_shared:
-                return _STORE_DELAYED
-            return _STORE_MODIFIED
         if e is None:
-            return _STORE_MODIFIED
-        if remote:
-            victims = e.sharers & ~(1 << core)
-            if not victims:
-                # only a remote owner, whose L1 copy has gone
-                return _STORE_RECALL
-            return StoreGrant(invalidate_cores=victims, recall=True)
-        return _STORE_MODIFIED
+            return None
+        others = e.sharers & ~(1 << core)
+        if others or (e.state in (CohState.EXCLUSIVE, CohState.MODIFIED) and e.owner != core):
+            return others
+        return None
 
     # -- mutations -------------------------------------------------------
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .cache import CacheGeometry, CacheSet, CohState, Domain
-from .ownership import AcquireResult, ThreadOwnership
+from .ownership import ThreadOwnership
 
 
 class CapacityOutOfRange(Exception):
@@ -160,10 +160,8 @@ class CacheLevel:
                 # no touch: even replacement-state updates wait for the
                 # commit notification, or a squashed hit would leave a trace
                 return AccessOutcome.HIT
-            if self.protected:
-                res = self.ownership.check_and_acquire(cset, way, thread)
-                if res is AcquireResult.ACQUIRED_EMULATED_MISS:
-                    return AccessOutcome.EMULATED_MISS
+            if self.protected and self.ownership.check_and_acquire(cset, way, thread):
+                return AccessOutcome.EMULATED_MISS
             # temporary recency is install order: no touch on hit
             return AccessOutcome.HIT
 

@@ -239,17 +239,16 @@ class Engine:
         ctr = self.report.counters
 
         if is_store:
-            local_dom = l1.resident_domain(line) or self.l2.resident_domain(line)
-            persistent_shared = (
-                local_dom is not None
-                and local_dom.value == "P"
+            # delayed by any remote copy, and by a locally persistent S
+            # copy: that upgrade could not be rolled back on squash
+            grant = CohState.MODIFIED
+            delayed = self.directory.grant_store(line, core) is not None or (
+                (l1.resident_domain(line) or self.l2.resident_domain(line)) is Domain.PERSISTENT
                 and self.directory.state(line) is CohState.SHARED
             )
-            sgrant = self.directory.grant_store(line, core, True, persistent_shared)
-            delayed, grant = sgrant.delayed, sgrant.grant
         else:
-            lgrant = self.directory.grant_load(line, core, True)
-            delayed, grant = lgrant.delayed, lgrant.grant
+            grant = self.directory.grant_load(line, core, True)
+            delayed = grant is None
 
         l2_lat = self._l2_local if line % self._cores == core else self._l2_remote
         if delayed:
@@ -317,22 +316,22 @@ class Engine:
         """
         ctr = self.report.counters
         if is_store:
-            sgrant = self.directory.grant_store(line, core, False, False)
-            cores = sgrant.invalidate_cores
+            cores = self.directory.grant_store(line, core)
             if cores:
                 self._invalidate_l1_copies(line, cores)
                 self.directory.remove_sharers(line, cores)
                 ctr["rfo_invalidations"] += cores.bit_count()
-            return sgrant.grant, sgrant.recall
-        lgrant = self.directory.grant_load(line, core, False)
-        if lgrant.recall:
-            owner = self.directory.entry(line).owner
-            self.l1i[owner].set_coh_state(line, CohState.SHARED)
-            self.l1d[owner].set_coh_state(line, CohState.SHARED)
-            self.l2.set_coh_state(line, CohState.SHARED)
-            self.directory.downgrade(line)
-            ctr["owner_recalls"] += 1
-        return lgrant.grant, lgrant.recall
+            return CohState.MODIFIED, cores is not None
+        grant = self.directory.grant_load(line, core, False)
+        if grant is not None:
+            return grant, False
+        owner = self.directory.entry(line).owner
+        self.l1i[owner].set_coh_state(line, CohState.SHARED)
+        self.l1d[owner].set_coh_state(line, CohState.SHARED)
+        self.l2.set_coh_state(line, CohState.SHARED)
+        self.directory.downgrade(line)
+        ctr["owner_recalls"] += 1
+        return CohState.SHARED, True
 
     def _committed_line_access(
         self,
@@ -384,7 +383,7 @@ class Engine:
     # -- management & prefetch ----------------------------------------------
 
     def _prefetch_line(self, line: int, thread: int) -> None:
-        if self.directory.grant_load(line, thread // self._smt, True).delayed:
+        if self.directory.grant_load(line, thread // self._smt, True) is None:
             self.report.counters["prefetch_dropped"] += 1
             return
         if self.l2.install_prefetch(line, CohState.SHARED) is AccessOutcome.MISS_INSTALLED:

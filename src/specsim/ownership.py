@@ -26,14 +26,7 @@ no emulated misses, no suspensions, eviction always succeeds.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .cache import CacheSet, Domain
-
-
-class AcquireResult(Enum):
-    OWNED_HIT = "owned_hit"
-    ACQUIRED_EMULATED_MISS = "acquired_emulated_miss"
 
 
 class ThreadOwnership:
@@ -49,20 +42,21 @@ class ThreadOwnership:
             raise ValueError(f"thread {thread} out of range 0..{self.num_threads - 1}")
         return 1 << thread
 
-    def check_and_acquire(self, cache_set: CacheSet, way: int, thread: int) -> AcquireResult:
-        """In-flight access found a valid temporary line at `way`.
+    def check_and_acquire(self, cache_set: CacheSet, way: int, thread: int) -> bool:
+        """In-flight access found a valid temporary line at `way`; return
+        whether it is charged an emulated miss.
 
-        Owners get an ordinary hit.  Anyone else is charged an emulated
-        miss and becomes an owner, which bounds the charge to one per
-        thread per residency of the line.
+        Owners get an ordinary hit (False).  Anyone else is charged an
+        emulated miss (True) and becomes an owner, which bounds the
+        charge to one per thread per residency of the line.
         """
         meta = cache_set.ways[way]
         assert meta.valid and meta.domain is Domain.TEMPORARY
         bit = self.bit(thread)
         if meta.owner_mask & bit:
-            return AcquireResult.OWNED_HIT
+            return False
         meta.owner_mask |= bit
-        return AcquireResult.ACQUIRED_EMULATED_MISS
+        return True
 
     def find_evictable(self, cache_set: CacheSet, thread: int) -> int | None:
         """Scan the temporary domain in victim order (invalid ways first,

@@ -120,8 +120,11 @@ def test_non_integer_level_value_is_a_config_error(tmp_path, capsys, section, ke
     (["attack", "all", "--secret", "-1"], "error: secret -1 out of range 0..255\n"),
     (["attack", "table1:1", "--secret", "256"], "error: secret 256 out of range 0..255\n"),
     (["sweep", "--caps", "1,x"], "error: --caps takes comma-separated integers, got '1,x'\n"),
+    # every cap is checked before the first verdict prints
+    (["sweep", "--caps", "0,16"], "error: l2: cap_t 16 must be in [0, ways)\n"),
+    (["sweep", "--level", "l1i", "--caps", "1,4"], "error: l1i: cap_t 4 must be in [0, ways)\n"),
 ], ids=["poc-secret", "poc-secret-256", "poc-secret-neg", "attack-secret", "attack-all-secret-256",
-        "attack-all-secret-neg", "attack-one-secret-256", "sweep-caps"])
+        "attack-all-secret-neg", "attack-one-secret-256", "sweep-caps", "sweep-cap-l2", "sweep-cap-l1i"])
 def test_bad_argument_is_an_error_line_not_a_traceback(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()

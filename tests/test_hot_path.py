@@ -7,9 +7,9 @@ the default hierarchy; the golden soups (see `test_golden`) cover every
 event kind on a small one.  The bounds assume CPython 3.11, where a
 NamedTuple's constructor and a dataclass's ``__init__`` are Python
 frames too.  A PoC bound leaves about half a call per event over what
-the engine makes; a soup may not exceed what it made before the flush
-and probe paths were flattened (the PoC then made 24.96 calls per event
-under specbox and 16.42 under baseline).
+the engine makes; a soup bound is what the soup makes since the
+directory and the owner check answer with plain values, rounded up to
+the next hundredth.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from specsim.engine import Engine
 from test_golden import POC_REPS, soup_config, soup_events
 
 POC_BUDGET = {"specbox": 19.0, "baseline": 14.5}
-# (mode, smt) -> calls per event on the golden soup before the flattening
+# (mode, smt) -> calls per event on the golden soup
 SOUP_BUDGET = {
-    ("specbox", 1): 18.68,
-    ("specbox", 2): 19.06,
-    ("baseline", 1): 14.57,
-    ("baseline", 2): 15.10,
+    ("specbox", 1): 16.22,
+    ("specbox", 2): 16.51,
+    ("baseline", 1): 12.87,
+    ("baseline", 2): 13.29,
 }
 
 pytestmark = pytest.mark.skipif(

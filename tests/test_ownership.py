@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsim.cache import CacheSet, CohState, Domain
-from specsim.ownership import AcquireResult, ThreadOwnership
+from specsim.ownership import ThreadOwnership
 
 
 def fresh_set(ways=4, cap_t=2):
@@ -28,10 +28,10 @@ def test_acquire_charges_once_per_residency():
     own = ThreadOwnership(2)
     cset = fresh_set()
     cset.install(2, 5, Domain.TEMPORARY, own.bit(0), CohState.SHARED, 1)
-    assert own.check_and_acquire(cset, 2, 0) is AcquireResult.OWNED_HIT
-    assert own.check_and_acquire(cset, 2, 1) is AcquireResult.ACQUIRED_EMULATED_MISS
+    assert own.check_and_acquire(cset, 2, 0) is False  # owned: a hit
+    assert own.check_and_acquire(cset, 2, 1) is True  # charged an emulated miss
     # second touch by the new owner is an ordinary hit
-    assert own.check_and_acquire(cset, 2, 1) is AcquireResult.OWNED_HIT
+    assert own.check_and_acquire(cset, 2, 1) is False
     assert cset.ways[2].owner_mask == 0b11
 
 

@@ -3,9 +3,10 @@
 The records an engine builds once per event (trace events, probe
 observations, notifications, access logs, delayed ops, parked fills)
 are tuples that keep the semantics of the frozen dataclasses they
-replaced; the grants that carry nothing per call are shared.  The last
-test is a count that host noise cannot move: while the engine steps,
-it builds no frozen dataclass but a committed RFO's grant.
+replaced; the directory's grants are plain values, a coherence state
+or a core mask, so no decision builds an object.  The last tests are
+counts that host noise cannot move: while the engine steps, it builds
+no frozen dataclass and hashes no plain enum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 import specsim
 from specsim.cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, LevelId
-from specsim.coherence import DelayedOp, Directory, StoreGrant
+from specsim.coherence import DelayedOp, Directory
 from specsim.domains import CacheLevel
 from specsim.engine import Engine, LatencyClass, TimingObservation, _Pending
 from specsim.notifier import AccessRecord, Notification, NotifKind
@@ -92,20 +93,22 @@ def test_observation_index_is_the_probes_number(cfg):
 
 
 def test_grants_without_per_call_data_are_shared():
+    """A load grant is a CohState member or None, so every decision
+    without per-call data hands back the same immutable object."""
     d, other = Directory(2), Directory(2)
     # untracked speculative load and a load of a shared line: both S
-    assert d.grant_load(4, 0, True) is other.grant_load(8, 1, True)
+    assert d.grant_load(4, 0, True) is other.grant_load(8, 1, True) is CohState.SHARED
     d.note_l2_fill(4, CohState.SHARED)
     d.note_l1_fill(4, 0, CohState.SHARED)
     assert d.grant_load(4, 1, False) is other.grant_load(8, 1, True)
     d.note_l1_fill(12, 0, CohState.EXCLUSIVE)
-    assert d.grant_load(12, 1, True) is d.grant_load(12, 1, True)  # delayed
-    assert d.grant_load(12, 1, False) is d.grant_load(12, 1, False)  # recall
-    assert d.grant_load(12, 0, False) is other.grant_load(8, 0, False)  # E
-    assert d.grant_store(8, 0, True, False) is d.grant_store(8, 1, False, False)  # M
-    grant = d.grant_load(4, 0, True)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        grant.grant = CohState.MODIFIED
+    assert d.grant_load(12, 1, True) is None  # delayed
+    assert d.grant_load(12, 1, False) is None  # recall
+    assert d.grant_load(12, 0, False) is other.grant_load(8, 0, False) is CohState.EXCLUSIVE
+    # a store with no other holder: nothing to delay or shoot down
+    assert d.grant_store(8, 0) is d.grant_store(12, 0) is None
+    with pytest.raises(AttributeError):
+        d.grant_load(4, 0, True).value = "M"
 
 
 def test_each_committed_rfo_carries_its_own_mask():
@@ -113,17 +116,14 @@ def test_each_committed_rfo_carries_its_own_mask():
     for core in (0, 1):
         d.note_l1_fill(4, core, CohState.SHARED)
     d.note_l1_fill(8, 1, CohState.SHARED)
-    first = d.grant_store(4, 2, False, False)
-    second = d.grant_store(8, 0, False, False)
-    assert first is not second
-    assert (first.invalidate_cores, first.recall) == (0b011, True)
-    assert (second.invalidate_cores, second.recall) == (0b010, True)
-    # a remote owner whose L1 copy has gone leaves nothing to shoot down
+    assert d.grant_store(4, 2) == 0b011
+    assert d.grant_store(8, 0) == 0b010
+    # a remote owner whose L1 copy has gone leaves nothing to shoot down,
+    # but it is still a recall: 0, not None
     d.note_l1_fill(12, 1, CohState.MODIFIED)
     d.remove_sharers(12, 0b10)
-    recall = d.grant_store(12, 0, False, False)
-    assert (recall.invalidate_cores, recall.recall) == (0, True)
-    assert recall is d.grant_store(12, 2, False, False)
+    assert d.grant_store(12, 0) == 0 and d.grant_store(12, 2) == 0
+    assert d.grant_store(12, 1) is None  # the owner's own store
 
 
 def _dataclass_inits() -> dict:
@@ -140,13 +140,12 @@ def _dataclass_inits() -> dict:
 
 @pytest.mark.parametrize("mode", ["specbox", "baseline"])
 @pytest.mark.parametrize("smt", [1, 2])
-def test_step_builds_no_frozen_dataclass_but_an_rfo_grant(mode, smt):
+def test_step_builds_no_frozen_dataclass(mode, smt):
     """Count dataclass constructions while the engine steps random
-    soups: the only frozen one is the grant of a committed RFO, which
-    names the cores to shoot down."""
+    soups: none is frozen, not even on a committed RFO, whose grant is
+    the mask of the cores to shoot down."""
     cfg = small_config(mode=mode, smt=smt)
     inits = _dataclass_inits()
-    assert StoreGrant in inits.values()
     built: list[tuple[type, dict]] = []
 
     def profile(frame, event, arg):
@@ -163,11 +162,9 @@ def test_step_builds_no_frozen_dataclass_but_an_rfo_grant(mode, smt):
             eng.step(ev)
     finally:
         sys.setprofile(None)
-    frozen = [(cls, args) for cls, args in built if cls.__dataclass_params__.frozen]
-    assert frozen, "the soup made no committed RFO"
-    for cls, args in frozen:
-        assert cls is StoreGrant and args["invalidate_cores"], (cls.__name__, args)
-    assert eng.report.counters["rfo_invalidations"] >= len(frozen)
+    assert eng.report.counters["rfo_invalidations"], "the soup made no committed RFO"
+    frozen = [(cls.__name__, args) for cls, args in built if cls.__dataclass_params__.frozen]
+    assert frozen == []
 
 
 @pytest.mark.parametrize("mode", ["specbox", "baseline"])
