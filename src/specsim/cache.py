@@ -17,11 +17,20 @@ ties are broken by the lowest way index so behaviour is deterministic.
 
 A lookup costs the same host time whatever the associativity: every set
 keeps a tag index (tag -> way of each valid way), so it is one dict
-probe.  The victim for a fill is chosen in one pass over the ways
-(the first invalid way of the domain, else the lowest (recency, index)).
-The full eviction order is built only where a caller walks it.  Ways
-that have never held a line share one read-only metadata object per
-domain, so building a hierarchy allocates no per-way objects.
+probe.  The victim for a fill is the first invalid way of the domain,
+else the valid way with the lowest (recency, index).  A pass over the
+ways that stops at the first invalid one finds it, until the persistent
+domain is first found full.  From then on the set keeps a victim key
+per way, current through every write: -1 for an invalid persistent
+way, the stamp (never negative) for a valid one, and a key above every
+stamp for a temporary way.  The persistent victim is then the first
+least key, found by two list scans in C, not a loop of bytecodes.  A
+set whose persistent domain never fills allocates no keys.  The full
+eviction order, ``victim_order``, is built only where a caller walks
+it, and only ``CacheLevel.reconfigure`` does.  Ways that have never
+held a line share one read-only metadata object per domain, so
+building a hierarchy allocates no per-way objects; a way's first line
+gets its own metadata without a Python ``__init__`` frame.
 
 Promoting a committed line is one call, ``promote``: it picks the
 persistent victim, drops its line, swaps the two ways' labels and
@@ -30,6 +39,7 @@ stamps the promoted line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -129,6 +139,15 @@ def _unused_way(domain: Domain) -> CacheLineMeta:
 _UNUSED_P = _unused_way(Domain.PERSISTENT)
 _UNUSED_T = _unused_way(Domain.TEMPORARY)
 
+# a way's metadata built without the dataclass's Python __init__ frame;
+# `install` sets every field
+_new_meta = object.__new__
+
+# the victim key of a way outside the domain (for the kept persistent
+# keys, a temporary way): above every stamp, so the least key of a set
+# is a way of the domain whenever the domain has one
+_OUTSIDE_KEY = math.inf
+
 
 class CacheSet:
     """One set: a fixed list of ways plus domain-scoped operations.
@@ -142,15 +161,22 @@ class CacheSet:
     `install`, `invalidate` and `promote` write a way's tag or valid
     bit, and all keep the index current, so callers may read it but
     never write it.  A tag is resident in at most one way of a set.
+
+    `keys` is None until `select_victim` first finds the persistent
+    domain full; from then on it holds the victim key of every way (see
+    the module docstring), and `install`, `invalidate`, `touch`,
+    `relabel` and `promote` keep it current.  Callers never write way
+    metadata's label, valid bit or stamp themselves.
     """
 
-    __slots__ = ("ways", "index")
+    __slots__ = ("ways", "index", "keys")
 
     def __init__(self, num_ways: int, cap_t: int) -> None:
         if not 0 <= cap_t < num_ways:
             raise ValueError(f"cap_t must be in [0, ways), got {cap_t}/{num_ways}")
         self.ways = [_UNUSED_P] * (num_ways - cap_t) + [_UNUSED_T] * cap_t
         self.index: dict[int, int] = {}
+        self.keys: list[float] | None = None
 
     def count(self, domain: Domain) -> int:
         return sum(1 for m in self.ways if m.domain is domain)
@@ -175,28 +201,32 @@ class CacheSet:
         return invalid + valid
 
     def select_victim(self, domain: Domain) -> int:
-        """First entry of victim_order(domain), found in one pass: the
-        lowest-index invalid way of the domain, else the valid way with
-        the lowest (recency, index)."""
-        best = -1
-        best_recency = 0
-        for idx, meta in enumerate(self.ways):
-            if meta.domain is not domain:
-                continue
-            if not meta.valid:
-                return idx
-            if best < 0 or meta.recency < best_recency:
-                best = idx
-                best_recency = meta.recency
-        if best < 0:
+        """First entry of victim_order(domain): the lowest-index invalid
+        way of the domain, else the valid way with the lowest
+        (recency, index).  A persistent victim comes from the keys once
+        the set has them; the first pass that finds the persistent
+        domain full keeps the keys it built."""
+        keys = self.keys
+        if keys is None or domain is not Domain.PERSISTENT:
+            for idx, meta in enumerate(self.ways):
+                if meta.domain is domain and not meta.valid:
+                    return idx
+            # every way of the domain is valid: its keys are its stamps
+            keys = [m.recency if m.domain is domain else _OUTSIDE_KEY for m in self.ways]
+            if domain is Domain.PERSISTENT:
+                self.keys = keys
+        least = min(keys)
+        if least == _OUTSIDE_KEY:
             raise DomainEmpty(f"set has no {domain.value}-labelled way")
-        return best
+        return keys.index(least)
 
     def touch(self, way: int, stamp: int) -> None:
         meta = self.ways[way]
         if not meta.valid:
             raise InvalidWay(f"way {way} is invalid")
         meta.recency = stamp
+        if self.keys is not None and meta.domain is Domain.PERSISTENT:
+            self.keys[way] = stamp
 
     def install(self, way: int, tag: int, domain: Domain, owner_mask: int,
                 coh_state: CohState, stamp: int) -> None:
@@ -208,7 +238,7 @@ class CacheSet:
         if meta.valid:
             del index[meta.tag]
         elif type(meta) is _UnusedWay:
-            meta = self.ways[way] = CacheLineMeta()
+            meta = self.ways[way] = _new_meta(CacheLineMeta)
         index[tag] = way
         meta.tag = tag
         meta.valid = True
@@ -216,6 +246,8 @@ class CacheSet:
         meta.owner_mask = owner_mask
         meta.coh_state = coh_state
         meta.recency = stamp
+        if self.keys is not None:
+            self.keys[way] = stamp if domain is Domain.PERSISTENT else _OUTSIDE_KEY
 
     def invalidate(self, way: int) -> None:
         """Drop the contents of a way. The domain label is untouched."""
@@ -226,13 +258,20 @@ class CacheSet:
         meta.valid = False
         meta.owner_mask = 0
         meta.coh_state = CohState.INVALID
+        if self.keys is not None and meta.domain is Domain.PERSISTENT:
+            self.keys[way] = -1
 
     def relabel(self, way: int, domain: Domain) -> None:
         meta = self.ways[way]
         if type(meta) is _UnusedWay:
-            self.ways[way] = _UNUSED_T if domain is Domain.TEMPORARY else _UNUSED_P
+            meta = self.ways[way] = _UNUSED_T if domain is Domain.TEMPORARY else _UNUSED_P
         else:
             meta.domain = domain
+        if self.keys is not None:
+            if domain is Domain.TEMPORARY:
+                self.keys[way] = _OUTSIDE_KEY
+            else:
+                self.keys[way] = meta.recency if meta.valid else -1
 
     def promote(self, way: int, stamp: int) -> int | None:
         """Move the valid temporary line at `way` into the persistent
@@ -258,6 +297,10 @@ class CacheSet:
         meta.domain = Domain.PERSISTENT
         meta.owner_mask = 0
         meta.recency = stamp
+        keys = self.keys
+        if keys is not None:
+            keys[victim] = _OUTSIDE_KEY
+            keys[way] = stamp
         return evicted
 
     def snapshot(self) -> tuple:

@@ -30,7 +30,9 @@ is then delayed, a committed one shoots those copies down (a mask of 0
 is a remote E/M owner whose L1 copy has gone) and takes M.  The
 persistent-S rule is the engine's, which knows the local copy's
 domain.  A :class:`DelayedOp` is a ``NamedTuple``, and directory
-entries are slotted.
+entries are slotted and built without a Python ``__init__`` frame.
+``note_l1_fill`` takes the core first, so an L1's fill hook can be the
+method with the core bound positionally.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ class DirEntry:
     state: CohState
     owner: int | None = None
     sharers: int = 0  # bitmask of cores with an L1 copy
+
+
+# a DirEntry built without the dataclass's Python __init__ frame; each
+# method below that makes one sets all three fields
+_new_entry = object.__new__
 
 
 class Directory:
@@ -94,21 +101,24 @@ class Directory:
 
     # -- mutations -------------------------------------------------------
 
-    def note_l1_fill(self, line: int, core: int, state: CohState) -> None:
-        e = self._entries.get(line)
+    def note_l1_fill(self, core: int, line: int, state: CohState) -> None:
+        entries = self._entries
+        e = entries.get(line)
         if e is None:
-            e = DirEntry(state=state)
-            self._entries[line] = e
-        e.sharers |= 1 << core
-        e.state = state
-        if state in (CohState.EXCLUSIVE, CohState.MODIFIED):
-            e.owner = core
+            e = entries[line] = _new_entry(DirEntry)
+            e.sharers = 1 << core
         else:
-            e.owner = None
+            e.sharers |= 1 << core
+        e.state = state
+        e.owner = core if state is CohState.EXCLUSIVE or state is CohState.MODIFIED else None
 
     def note_l2_fill(self, line: int, state: CohState = CohState.SHARED) -> None:
-        if line not in self._entries:
-            self._entries[line] = DirEntry(state=state)
+        entries = self._entries
+        if line not in entries:
+            e = entries[line] = _new_entry(DirEntry)
+            e.state = state
+            e.owner = None
+            e.sharers = 0
 
     def remove_sharers(self, line: int, cores: int) -> None:
         """Clear the sharer bits of the cores in the mask `cores`."""
@@ -125,11 +135,12 @@ class Directory:
     def upgrade_for_store(self, line: int, core: int) -> None:
         e = self._entries.get(line)
         if e is None:
-            e = DirEntry(state=CohState.MODIFIED)
-            self._entries[line] = e
+            e = self._entries[line] = _new_entry(DirEntry)
+            e.sharers = 0
+        else:
+            e.sharers &= 1 << core
         e.state = CohState.MODIFIED
         e.owner = core
-        e.sharers &= 1 << core
 
     def drop(self, line: int) -> int:
         """Delete the line's entry; return the sharer mask it had (0 if

@@ -25,14 +25,16 @@ on the mask draining.
 
 Every line lookup here is one probe of the set's tag index (see
 :class:`.cache.CacheSet`), with the set index and tag taken from the
-line by a mask and a shift, and every fill picks its victim in one pass
-(the set's ``select_victim``, or the ownership scan for a gated
-temporary fill); only ``reconfigure`` walks a full ``victim_order``.
-Only fills, not lookups, grow with the associativity.  Past the
-lookup, a committed hit is one ``CacheSet`` call (``touch``), a
-promotion one (``promote``) and a drop one (``invalidate``); this
-module writes no way metadata itself but owner masks and coherence
-states.
+line by a mask and a shift.  Every fill takes its victim from the set's
+``select_victim`` (or the ownership scan for a gated temporary fill):
+one early-exit pass over the ways, or, once the set's persistent domain
+has been full, a least-key search of the set's victim keys that
+executes no per-way bytecode.  Only ``reconfigure`` walks a full
+``victim_order``.  Only fills, not lookups, grow with the
+associativity.  Past the lookup, a committed hit is one ``CacheSet``
+call (``touch``), a promotion one (``promote``) and a drop one
+(``invalidate``); this module writes no way metadata itself but owner
+masks and coherence states.
 
 The paths return a plain :class:`AccessOutcome`, ``reconfigure`` the
 lines it dropped.  A valid line that a fill or a promotion displaces

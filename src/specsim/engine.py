@@ -35,11 +35,11 @@ No access path notes a fill or an eviction: the levels' hooks do.
 MGMT) first, and the latencies, core count and prefetch flag it reads
 per event are attributes set at construction (``SimConfig`` is frozen).
 
-The per-probe :class:`TimingObservation` and the parked-fill record
-are ``NamedTuple``s, built at a tuple's cost on the hot path.  An
-observation stores the probed address, not its line: ``line`` is a
-property derived from ``addr``, so a retained probe holds one int
-fewer.
+The per-probe :class:`TimingObservation`, the parked-fill record and
+the window-log and notification records are ``NamedTuple``s, built by
+``tuple.__new__`` at a tuple's cost on the hot path.  An observation
+stores the probed address, not its line: ``line`` is a property derived
+from ``addr``, so a retained probe holds one int fewer.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
@@ -109,6 +110,10 @@ class _Pending(NamedTuple):
     is_store: bool
 
 
+# builds a NamedTuple record without the Python frame of its generated
+# __new__; the caller passes every field, in order
+_new_record = tuple.__new__
+
 # the window id of every probe: a probe's window never enters the
 # registry, and step() rejects negative ids in a trace
 PROBE_WINDOW = -1
@@ -163,9 +168,10 @@ class Engine:
         installed lines reach the engine and the directory.  on_evict:
         the L2's counts a back-invalidation and drops the line's L1
         copies and directory entry (inclusion); core c's L1I and L1D one
-        clears c's sharer bit unless c's other L1 still holds the line.
-        on_fill is the directory's note_l2_fill, or a closure that passes
-        c to its note_l1_fill.
+        clears c's sharer bit unless c's other L1 still holds the line,
+        and also serves the lines a squash or a reconfiguration drops
+        from an L1.  on_fill is the directory's note_l2_fill, or its
+        note_l1_fill with c bound as the first argument.
         """
         # a weak proxy: hooks holding the engine itself would make an
         # engine -> level -> hook -> engine cycle that only the cyclic
@@ -177,20 +183,17 @@ class Engine:
             me._invalidate_l1_copies(line, me.directory.drop(line))
 
         self.l2.on_evict = l2_evicted
-        # the fill hooks hold the directory's bound methods, not the
-        # engine; a level calls on_fill positionally, which a closure
-        # takes at about half the cost of a partial given a keyword
-        self.l2.on_fill = self.directory.note_l2_fill
-        note_l1_fill = self.directory.note_l1_fill
+        # the other hooks hold the directory and the L1s' sets, not the
+        # engine; a level calls them positionally, so a partial binding
+        # the core first adds no Python frame
+        directory = self.directory
+        self.l2.on_fill = directory.note_l2_fill
         for core in range(self._cores):
-            def l1_evicted(line: int, core: int = core) -> None:
-                me._l1_presence_refresh(line, core)
-
-            def l1_filled(line: int, state: CohState, core: int = core) -> None:
-                note_l1_fill(line, core, state)
-
-            for lv in (self.l1i[core], self.l1d[core]):
-                lv.on_evict, lv.on_fill = l1_evicted, l1_filled
+            fill = partial(directory.note_l1_fill, core)
+            pair = (self.l1i[core], self.l1d[core])
+            for lv, sibling in (pair, pair[::-1]):
+                lv.on_evict = _l1_evict_hook(directory, sibling, 1 << core)
+                lv.on_fill = fill
 
     def core_of(self, thread: int) -> int:
         return thread // self._smt
@@ -204,11 +207,6 @@ class Engine:
         )
 
     # -- directory upkeep ------------------------------------------------
-
-    def _l1_presence_refresh(self, line: int, core: int) -> None:
-        if (self.l1i[core].resident_domain(line) is None
-                and self.l1d[core].resident_domain(line) is None):
-            self.directory.remove_sharers(line, 1 << core)
 
     def _invalidate_l1_copies(self, line: int, cores: int) -> None:
         """Drop `line` from the L1I and L1D of every core in the mask
@@ -254,7 +252,7 @@ class Engine:
         if delayed:
             ctr["delayed_coherence"] += 1
             full_miss = self._l1_hit + l2_lat + self._memory
-            return full_miss, DelayedOp(thread, line, is_store, is_ifetch)
+            return full_miss, _new_record(DelayedOp, (thread, line, is_store, is_ifetch))
 
         latency = self._l1_hit
         r1 = l1.access_inflight(line, thread, grant)
@@ -263,7 +261,7 @@ class Engine:
         else:
             if r1 is AccessOutcome.MISS_BYPASSED:
                 ctr["suspended_installs"] += 1
-                self._pending.append(_Pending(l1, core, thread, window_id, line, is_store))
+                self._pending.append(_new_record(_Pending, (l1, core, thread, window_id, line, is_store)))
             elif r1 is AccessOutcome.EMULATED_MISS:
                 ctr["emulated_misses"] += 1
             latency += l2_lat
@@ -275,7 +273,8 @@ class Engine:
                 ctr["memory_fills"] += 1
                 if r2 is AccessOutcome.MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
-                    self._pending.append(_Pending(self.l2, core, thread, window_id, line, is_store))
+                    self._pending.append(
+                        _new_record(_Pending, (self.l2, core, thread, window_id, line, is_store)))
                 elif r2 is AccessOutcome.EMULATED_MISS:
                     ctr["emulated_misses"] += 1
 
@@ -418,7 +417,7 @@ class Engine:
             if dropped:
                 ctr["lines_squashed"] += 1
                 if level_id is not LevelId.L2:
-                    self._l1_presence_refresh(line, core)
+                    level.on_evict(line)
                 # the L1 and L2 notes of one access can drain in either
                 # order (merging reorders them), so check for a fully
                 # dead entry after every drop, not just the L2 one
@@ -487,7 +486,8 @@ class Engine:
             if op is OpKind.ACCESS:
                 ar: AccessRecord = payload
                 for level_id in (ar.l1, LevelId.L2):
-                    note = Notification(window_id, rec.thread, ar.line, level_id, kind, ar.is_store)
+                    note = _new_record(
+                        Notification, (window_id, rec.thread, ar.line, level_id, kind, ar.is_store))
                     for n in self.nfb.offer(note):
                         self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
             elif commit:
@@ -548,9 +548,7 @@ class Engine:
         else:
             klass = LatencyClass.AMBIGUOUS
         observations = self.report.observations
-        # tuple.__new__ builds the record without the Python frame of
-        # the NamedTuple's generated __new__; the fields are in order
-        obs = tuple.__new__(TimingObservation, (len(observations), thread, addr, latency, klass))
+        obs = _new_record(TimingObservation, (len(observations), thread, addr, latency, klass))
         observations.append(obs)
         ctr["measures"] += 1
         return obs
@@ -566,9 +564,9 @@ class Engine:
                 self._invalidate_l1_copies(line, self.directory.drop(line))
         elif level_name in ("l1i", "l1d"):
             bank = self.l1i if level_name == "l1i" else self.l1d
-            for core, lv in enumerate(bank):
+            for lv in bank:
                 for line in lv.reconfigure(new_cap_t):
-                    self._l1_presence_refresh(line, core)
+                    lv.on_evict(line)
         else:
             raise ValueError(f"unknown level {level_name!r}")
         self._retry_suspended()
@@ -629,7 +627,7 @@ class Engine:
                     # sibling window's squash even when the access hit at
                     # L1, and a squash must purge the L2 copy likewise
                     l1_id = LevelId.L1I if is_ifetch else LevelId.L1D
-                    rec.ops.append((OpKind.ACCESS, AccessRecord(line, l1_id, is_store)))
+                    rec.ops.append((OpKind.ACCESS, _new_record(AccessRecord, (line, l1_id, is_store))))
                 else:
                     rec.ops.append((OpKind.DELAYED, delayed))
         elif kind is EventKind.OPEN:
@@ -654,6 +652,27 @@ class Engine:
         for ev in events:
             self.step(ev)
         return self.report
+
+
+def _l1_evict_hook(directory: Directory, sibling: CacheLevel, bit: int):
+    """The on_evict hook of one of a core's two L1s: once a line has
+    left, clear the core's sharer `bit` unless `sibling`, the core's
+    other L1, still holds the line.  One frame: it probes the sibling's
+    tag index and the directory's entry map directly (a call into
+    either would be a frame of its own)."""
+    sets = sibling.sets
+    mask = sibling.geometry.num_sets - 1
+    shift = mask.bit_length()
+    entry = directory._entries.get
+    keep = ~bit
+
+    def l1_evicted(line: int) -> None:
+        if line >> shift not in sets[line & mask].index:
+            e = entry(line)
+            if e is not None:
+                e.sharers &= keep
+
+    return l1_evicted
 
 
 def run_trace(events: list[TraceEvent], cfg: SimConfig) -> SimReport:

@@ -64,10 +64,6 @@ class Notification(NamedTuple):
     kind: NotifKind
     is_store: bool = False
 
-    @property
-    def merge_key(self) -> tuple[int, int, LevelId, NotifKind]:
-        return (self.window, self.line, self.level, self.kind)
-
 
 class NotificationBuffer:
     """Fixed-capacity merging FIFO between core and caches."""
@@ -87,7 +83,7 @@ class NotificationBuffer:
         """Queue a notification; returns any entries forced out now."""
         if self.capacity == 0:
             return [note]
-        key = note.merge_key
+        key = (note.window, note.line, note.level, note.kind)
         if key in self._entries:
             old = self._entries[key]
             if note.is_store and not old.is_store:

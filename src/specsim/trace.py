@@ -16,7 +16,9 @@ committed access.
 
 A :class:`TraceEvent` is a ``NamedTuple``: immutable, hashable and
 equal by value like a frozen dataclass, but built at the cost of a
-tuple, which matters at one event per simulated instruction.  Being
+tuple, which matters at one event per simulated instruction (the
+parser builds it with ``tuple.__new__``, skipping even the generated
+``__new__`` frame).  Being
 immutable, one event can stand for many: :func:`parse_trace` parses
 each distinct line once, and identical lines share one event object.
 An event therefore carries no source line number; a caller that needs
@@ -142,8 +144,7 @@ _GRAMMAR: dict[str, tuple[EventKind, int, int, str, int, int, int]] = {
 
 
 def _natural(text: str) -> int:
-    """`int(text, 0)` for a field that is never negative: an address,
-    a thread or a window."""
+    """`int(text, 0)` for a window, a field that is never negative."""
     value = int(text, 0)
     if value < 0:
         raise ValueError(text)
@@ -152,12 +153,14 @@ def _natural(text: str) -> int:
 
 def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
-    toks = line.split("#", 1)[0].split()
+    toks = (line.split("#", 1)[0] if "#" in line else line).split()
     if not toks:
         return None
-    spec = _GRAMMAR.get(toks[0].upper())
+    spec = _GRAMMAR.get(toks[0])
     if spec is None:
-        raise TraceParseError(f"line {lineno}: unknown event {toks[0]!r}")
+        spec = _GRAMMAR.get(toks[0].upper())
+        if spec is None:
+            raise TraceParseError(f"line {lineno}: unknown event {toks[0]!r}")
     kind, least, most, usage, t_pos, a_pos, w_pos = spec
     n = len(toks)
     if not least <= n <= most:
@@ -170,23 +173,30 @@ def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     thread = 0
     addr = window = None
     # a line with several bad fields reports the first one parsed: an
-    # optional trailing window, then thread, address, required window
+    # optional trailing window, then thread, address, required window;
+    # thread and address, on nearly every line, are parsed inline
     what, tok = "window", toks[-1]
     try:
         if n > least:
             window = _natural(tok[1:] if tok[0] in "wW" else tok)
         if t_pos:
             what, tok = "thread", toks[t_pos]
-            thread = _natural(tok[1:] if tok[0] in "tT" else tok)
+            thread = int(tok[1:] if tok[0] in "tT" else tok, 0)
+            if thread < 0:
+                raise ValueError(tok)
         if a_pos:
             what, tok = "address", toks[a_pos]
-            addr = _natural(tok)
+            addr = int(tok, 0)
+            if addr < 0:
+                raise ValueError(tok)
         if w_pos:
             what, tok = "window", toks[w_pos]
             window = _natural(tok[1:] if tok[0] in "wW" else tok)
     except ValueError:
         raise TraceParseError(f"line {lineno}: bad {what} {tok!r}") from None
-    return TraceEvent(kind, thread, addr, window, op)
+    # tuple.__new__ builds the event without the Python frame of the
+    # NamedTuple's generated __new__; the fields are in order
+    return tuple.__new__(TraceEvent, (kind, thread, addr, window, op))
 
 
 def parse_trace(text: str) -> list[TraceEvent]:

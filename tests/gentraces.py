@@ -10,6 +10,8 @@ reproduces from its seed alone.  Three generators live here:
                        fuzzing.
 * single_thread_trace -- one-hart traces for the ownership-degeneration
                        check.
+* stream_events     -- committed streams that overflow the L2, so its
+                       sets and the L1Ds' stay full.
 """
 
 from __future__ import annotations
@@ -279,4 +281,47 @@ def single_thread_trace(seed: int, length: int = 100) -> list[TraceEvent]:
             events.append(TraceEvent.commit(0, w.wid))
     for addr in pool:
         events.append(TraceEvent.measure(0, addr))
+    return events
+
+
+# -- committed streams (full sets) -----------------------------------------
+
+
+def stream_events(rng: random.Random, cfg: SimConfig, count: int) -> list[TraceEvent]:
+    """Committed streams from every core over twice the L2, like the
+    benchmark's committed-stream on a small hierarchy.
+
+    Each core walks its own slice of the address space in steps of one
+    or two lines, now and then jumping, so every stream access fills a
+    line or two (demand miss or prefetch) and the sets stay full.  A
+    shared pool takes a quarter of the accesses, a quarter of them
+    stores, and every probe, so RFOs shoot down and loads recall other
+    cores' copies.
+    """
+    slice_lines = 2 * cfg.l2.num_sets * cfg.l2.ways // cfg.cores
+    stream_base = 0x100000
+    shared_base = 0x80000
+    shared_lines = 32
+    pos = [rng.randrange(slice_lines) for _ in range(cfg.cores)]
+    events: list[TraceEvent] = []
+    for _ in range(count):
+        core = rng.randrange(cfg.cores)
+        thread = core * cfg.smt
+        roll = rng.random()
+        if roll < 0.05:
+            addr = shared_base + rng.randrange(shared_lines) * LINE_SIZE
+            events.append(TraceEvent.measure(thread, addr))
+            continue
+        if roll < 0.30:
+            addr = shared_base + rng.randrange(shared_lines) * LINE_SIZE
+        else:
+            if rng.random() < 0.05:
+                pos[core] = rng.randrange(slice_lines)
+            else:
+                pos[core] = (pos[core] + rng.choice((1, 2))) % slice_lines
+            addr = stream_base + (core * slice_lines + pos[core]) * LINE_SIZE
+        if rng.random() < 0.25:
+            events.append(TraceEvent.store(thread, addr))
+        else:
+            events.append(TraceEvent.load(thread, addr))
     return events

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,16 +205,98 @@ def _promote_by_steps(cset, way, stamp):
     return evicted
 
 
+def _fill_persistent(cset, stamps):
+    """Install a line in every persistent way, stamped from `stamps` in
+    turn, and ask for the persistent victim, which builds the set's keys."""
+    persistent = [i for i, m in enumerate(cset.ways) if m.domain is Domain.PERSISTENT]
+    for n, way in enumerate(persistent):
+        cset.install(way, 1000 + way, Domain.PERSISTENT, 0, CohState.SHARED, stamps[n % len(stamps)])
+    cset.select_victim(Domain.PERSISTENT)
+    assert cset.keys is not None
+
+
+def _reference_keys(cset):
+    """The victim keys the module docstring defines, from the ways."""
+    return [(m.recency if m.valid else -1) if m.domain is Domain.PERSISTENT else math.inf
+            for m in cset.ways]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+       st.lists(st.tuples(st.sampled_from(["install", "install", "touch", "invalidate",
+                                           "relabel", "promote"]),
+                          st.integers(min_value=0, max_value=5),
+                          st.integers(min_value=0, max_value=11),
+                          st.sampled_from([Domain.TEMPORARY, Domain.PERSISTENT])),
+                max_size=60))
+@settings(max_examples=300)
+def test_victim_keys_track_every_write(stamps, ops):
+    """Once a full persistent domain has built the keys, every op keeps
+    them as the ways define them, so select_victim(d) stays the head of
+    victim_order(d) for both domains, ties and stamps that go backwards
+    included."""
+    cset = CacheSet(6, 2)
+    _fill_persistent(cset, stamps)
+    for op, way, tag, domain in ops:
+        meta = cset.ways[way]
+        stamp = (tag * 7) % 5  # non-monotonic, with ties
+        if op == "install" and cset.index.get(tag, way) == way:
+            cset.install(way, tag, domain, 0, CohState.SHARED, stamp)
+        elif op == "touch" and meta.valid:
+            cset.touch(way, stamp)
+        elif op == "invalidate":
+            cset.invalidate(way)
+        elif op == "relabel":
+            cset.relabel(way, domain)
+        elif (op == "promote" and meta.valid and meta.domain is Domain.TEMPORARY
+              and cset.count(Domain.PERSISTENT)):
+            cset.promote(way, stamp)
+        assert cset.keys == _reference_keys(cset)
+        for d in (Domain.TEMPORARY, Domain.PERSISTENT):
+            if cset.count(d) == 0:
+                with pytest.raises(DomainEmpty):
+                    cset.select_victim(d)
+            else:
+                assert cset.select_victim(d) == cset.victim_order(d)[0]
+
+
+def test_a_set_whose_persistent_domain_never_fills_has_no_keys():
+    """Keys cost a list per set, so only a set whose persistent domain
+    has been full builds them: the mostly empty sets of a default-size
+    hierarchy, thousands per engine, stay without one."""
+    cset = CacheSet(6, 2)
+    for way in range(3):
+        cset.install(way, 10 + way, Domain.PERSISTENT, 0, CohState.SHARED, 5 - way)
+    cset.touch(0, 9)
+    cset.invalidate(1)
+    for way in (4, 5):
+        cset.install(way, 20 + way, Domain.TEMPORARY, 0b1, CohState.SHARED, 7)
+    assert cset.select_victim(Domain.TEMPORARY) == 4  # a full temporary domain
+    assert cset.select_victim(Domain.PERSISTENT) == 1
+    cset.promote(4, 8)  # into way 1, the invalid persistent victim
+    cset.relabel(5, Domain.PERSISTENT)
+    assert cset.select_victim(Domain.PERSISTENT) == 3
+    assert cset.keys is None
+    cset.install(3, 13, Domain.PERSISTENT, 0, CohState.SHARED, 1)
+    cset.select_victim(Domain.PERSISTENT)  # now full
+    assert cset.keys == _reference_keys(cset)
+
+
 @given(st.lists(st.tuples(st.sampled_from(["install", "install", "touch", "invalidate"]),
                           st.integers(min_value=0, max_value=5),
                           st.integers(min_value=0, max_value=11)),
                 max_size=40),
-       st.integers(min_value=0, max_value=1))
+       st.integers(min_value=0, max_value=1),
+       st.booleans())
 @settings(max_examples=300)
-def test_promote_matches_its_fine_grained_steps(ops, pick):
-    """`promote` leaves the ways, the tag index and the evicted tag
-    exactly as select_victim, invalidate, two relabels and touch do."""
+def test_promote_matches_its_fine_grained_steps(ops, pick, full):
+    """`promote` leaves the ways, the tag index, the victim keys and the
+    evicted tag exactly as select_victim, invalidate, two relabels and
+    touch do, whether or not the persistent domain was full at the
+    start (and the keys built)."""
     sets = [CacheSet(6, 2), CacheSet(6, 2)]
+    if full:
+        for cset in sets:
+            _fill_persistent(cset, [3, 1, 3, 0])
     for op, way, tag in ops:
         for cset in sets:
             meta = cset.ways[way]
@@ -230,4 +314,5 @@ def test_promote_matches_its_fine_grained_steps(ops, pick):
     assert folded.promote(way, 99) == _promote_by_steps(steps, way, 99)
     assert folded.snapshot() == steps.snapshot()
     assert folded.index == steps.index
+    assert folded.keys == steps.keys
     assert folded.count(Domain.TEMPORARY) == 2

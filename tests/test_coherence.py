@@ -22,7 +22,7 @@ def test_absent_line_grants():
 def test_speculative_load_of_remote_exclusive_is_delayed():
     d = Directory(2)
     d.note_l2_fill(4, CohState.EXCLUSIVE)
-    d.note_l1_fill(4, 0, CohState.EXCLUSIVE)
+    d.note_l1_fill(0, 4, CohState.EXCLUSIVE)
     assert d.grant_load(4, 1, speculative=True) is None  # delayed
     # the directory was not consulted into a new state
     assert d.state(4) is CohState.EXCLUSIVE
@@ -31,7 +31,7 @@ def test_speculative_load_of_remote_exclusive_is_delayed():
 def test_committed_load_of_remote_exclusive_recalls():
     d = Directory(2)
     d.note_l2_fill(4, CohState.MODIFIED)
-    d.note_l1_fill(4, 0, CohState.MODIFIED)
+    d.note_l1_fill(0, 4, CohState.MODIFIED)
     assert d.grant_load(4, 1, speculative=False) is None  # recall, then S
     d.downgrade(4)
     assert d.grant_load(4, 1, speculative=False) is CohState.SHARED
@@ -42,7 +42,7 @@ def test_committed_load_of_remote_exclusive_recalls():
 def test_own_exclusive_reload_keeps_state():
     d = Directory(2)
     d.note_l2_fill(4, CohState.EXCLUSIVE)
-    d.note_l1_fill(4, 0, CohState.EXCLUSIVE)
+    d.note_l1_fill(0, 4, CohState.EXCLUSIVE)
     assert d.grant_load(4, 0, speculative=True) is CohState.EXCLUSIVE
     d.upgrade_for_store(4, 0)
     assert d.grant_load(4, 0, speculative=False) is CohState.MODIFIED
@@ -51,7 +51,7 @@ def test_own_exclusive_reload_keeps_state():
 def test_shared_line_loads_freely():
     d = Directory(2)
     d.note_l2_fill(4, CohState.SHARED)
-    d.note_l1_fill(4, 0, CohState.SHARED)
+    d.note_l1_fill(0, 4, CohState.SHARED)
     for speculative in (True, False):
         assert d.grant_load(4, 1, speculative) is CohState.SHARED
 
@@ -62,7 +62,7 @@ def test_speculative_store_gating():
     assert d.grant_store(4, 0) is None
     # any remote copy delays the upgrade
     d.note_l2_fill(4, CohState.SHARED)
-    d.note_l1_fill(4, 1, CohState.SHARED)
+    d.note_l1_fill(1, 4, CohState.SHARED)
     assert d.grant_store(4, 0) == 0b10
     # a local persistent copy in S delays too: the upgrade could not be
     # rolled back without telling remote observers.  The directory sees
@@ -85,7 +85,7 @@ def test_speculative_store_gating():
 def test_speculative_store_own_exclusive_upgrades_silently():
     d = Directory(2)
     d.note_l2_fill(4, CohState.EXCLUSIVE)
-    d.note_l1_fill(4, 0, CohState.EXCLUSIVE)
+    d.note_l1_fill(0, 4, CohState.EXCLUSIVE)
     assert d.grant_store(4, 0) is None  # not delayed; the store takes M
     # and the engine upgrades it in place, with no delay
     eng = Engine(small_config())
@@ -100,8 +100,8 @@ def test_speculative_store_own_exclusive_upgrades_silently():
 def test_committed_store_invalidates_remote_sharers():
     d = Directory(2)
     d.note_l2_fill(4, CohState.SHARED)
-    d.note_l1_fill(4, 0, CohState.SHARED)
-    d.note_l1_fill(4, 1, CohState.SHARED)
+    d.note_l1_fill(0, 4, CohState.SHARED)
+    d.note_l1_fill(1, 4, CohState.SHARED)
     assert d.grant_store(4, 1) == 0b01  # everyone but the writer
     d.remove_sharers(4, 0b01)
     d.upgrade_for_store(4, 1)
@@ -114,8 +114,8 @@ def test_committed_store_invalidates_remote_sharers():
 def test_sharer_tracking_and_drop():
     d = Directory(2)
     d.note_l2_fill(4, CohState.SHARED)
-    d.note_l1_fill(4, 0, CohState.SHARED)
-    d.note_l1_fill(4, 1, CohState.SHARED)
+    d.note_l1_fill(0, 4, CohState.SHARED)
+    d.note_l1_fill(1, 4, CohState.SHARED)
     assert d.sharers(4) == 0b11
     d.remove_sharers(4, 0b01)
     assert d.sharers(4) == 0b10
@@ -129,7 +129,7 @@ def test_sharer_tracking_and_drop():
 def test_note_l2_fill_does_not_clobber_existing_entry():
     d = Directory(2)
     d.note_l2_fill(4, CohState.MODIFIED)
-    d.note_l1_fill(4, 0, CohState.MODIFIED)
+    d.note_l1_fill(0, 4, CohState.MODIFIED)
     d.note_l2_fill(4, CohState.SHARED)
     assert d.state(4) is CohState.MODIFIED
 

@@ -22,7 +22,7 @@ from specsim.config import LevelParams
 from specsim.engine import Engine
 
 from conftest import small_config
-from gentraces import random_events
+from gentraces import random_events, stream_events
 
 SOUP_EVENTS = 3000
 SOUP_L2 = LevelParams(8192, 8, 2)
@@ -41,6 +41,14 @@ POC_REPS = 100
 GOLDEN_POC = {
     "specbox": ("7aa291c207589781", "2d1b59a4873a9d09", "8fcae3442904e243"),
     "baseline": ("d2e25f178ad299a1", "316a563e5585b4af", "7ae44a8cc29d8db4"),
+}
+
+STREAM_EVENTS = 4000
+
+# mode -> digests of the committed stream
+GOLDEN_STREAM = {
+    "specbox": ("855caaa109f8844a", "1260c433023b6b4f", "b06e479e742d23d8"),
+    "baseline": ("d52c0436607c7a51", "a9d915861aa05e74", "73c5482b1c462322"),
 }
 
 
@@ -68,6 +76,14 @@ def engine_digests(eng: Engine) -> tuple[str, str, str]:
     return _digest(observations), _digest(counters), _digest(repr(eng.fingerprint()))
 
 
+def stream_config(mode: str):
+    return small_config(mode=mode, cores=4, prefetch=True)
+
+
+def stream_trace(cfg) -> list:
+    return stream_events(random.Random(7), cfg, STREAM_EVENTS)
+
+
 def run_digests(mode: str, smt: int) -> tuple[str, str, str]:
     cfg = soup_config(mode, smt)
     eng = Engine(cfg)
@@ -86,3 +102,11 @@ def test_poc_matches_its_golden_digests(mode):
     eng = Engine(cfg)
     eng.run(build_trace("poc", 1, cfg, reps=POC_REPS))
     assert engine_digests(eng) == GOLDEN_POC[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_STREAM))
+def test_stream_matches_its_golden_digests(mode):
+    cfg = stream_config(mode)
+    eng = Engine(cfg)
+    eng.run(stream_trace(cfg))
+    assert engine_digests(eng) == GOLDEN_STREAM[mode]

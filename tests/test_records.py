@@ -99,9 +99,9 @@ def test_grants_without_per_call_data_are_shared():
     # untracked speculative load and a load of a shared line: both S
     assert d.grant_load(4, 0, True) is other.grant_load(8, 1, True) is CohState.SHARED
     d.note_l2_fill(4, CohState.SHARED)
-    d.note_l1_fill(4, 0, CohState.SHARED)
+    d.note_l1_fill(0, 4, CohState.SHARED)
     assert d.grant_load(4, 1, False) is other.grant_load(8, 1, True)
-    d.note_l1_fill(12, 0, CohState.EXCLUSIVE)
+    d.note_l1_fill(0, 12, CohState.EXCLUSIVE)
     assert d.grant_load(12, 1, True) is None  # delayed
     assert d.grant_load(12, 1, False) is None  # recall
     assert d.grant_load(12, 0, False) is other.grant_load(8, 0, False) is CohState.EXCLUSIVE
@@ -114,13 +114,13 @@ def test_grants_without_per_call_data_are_shared():
 def test_each_committed_rfo_carries_its_own_mask():
     d = Directory(3)
     for core in (0, 1):
-        d.note_l1_fill(4, core, CohState.SHARED)
-    d.note_l1_fill(8, 1, CohState.SHARED)
+        d.note_l1_fill(core, 4, CohState.SHARED)
+    d.note_l1_fill(1, 8, CohState.SHARED)
     assert d.grant_store(4, 2) == 0b011
     assert d.grant_store(8, 0) == 0b010
     # a remote owner whose L1 copy has gone leaves nothing to shoot down,
     # but it is still a recall: 0, not None
-    d.note_l1_fill(12, 1, CohState.MODIFIED)
+    d.note_l1_fill(1, 12, CohState.MODIFIED)
     d.remove_sharers(12, 0b10)
     assert d.grant_store(12, 0) == 0 and d.grant_store(12, 2) == 0
     assert d.grant_store(12, 1) is None  # the owner's own store
