@@ -52,11 +52,17 @@ class Domain(Enum):
     PERSISTENT = "P"
 
 
+TEMPORARY, PERSISTENT = Domain
+
+
 class CohState(Enum):
     MODIFIED = "M"
     EXCLUSIVE = "E"
     SHARED = "S"
     INVALID = "I"
+
+
+MODIFIED, EXCLUSIVE, SHARED, INVALID = CohState
 
 
 class LevelId(IntEnum):
@@ -66,6 +72,9 @@ class LevelId(IntEnum):
     L1I = 0
     L1D = 1
     L2 = 2
+
+
+L1I, L1D, L2 = LevelId
 
 
 class DomainEmpty(Exception):
@@ -109,9 +118,9 @@ class CacheGeometry:
 class CacheLineMeta:
     tag: int = 0
     valid: bool = False
-    domain: Domain = Domain.PERSISTENT
+    domain: Domain = PERSISTENT
     owner_mask: int = 0
-    coh_state: CohState = CohState.INVALID
+    coh_state: CohState = INVALID
     recency: int = 0
 
     def snapshot(self) -> tuple:
@@ -136,8 +145,8 @@ def _unused_way(domain: Domain) -> CacheLineMeta:
     return meta
 
 
-_UNUSED_P = _unused_way(Domain.PERSISTENT)
-_UNUSED_T = _unused_way(Domain.TEMPORARY)
+_UNUSED_P = _unused_way(PERSISTENT)
+_UNUSED_T = _unused_way(TEMPORARY)
 
 # a way's metadata built without the dataclass's Python __init__ frame;
 # `install` sets every field
@@ -178,6 +187,22 @@ class CacheSet:
         self.index: dict[int, int] = {}
         self.keys: list[float] | None = None
 
+    @classmethod
+    def new_sets(cls, count: int, num_ways: int, cap_t: int) -> list[CacheSet]:
+        """`count` sets, each as ``CacheSet(num_ways, cap_t)`` builds it,
+        without a Python ``__init__`` frame per set: a level of the
+        default hierarchy has up to 2,048 of them."""
+        ways = cls(num_ways, cap_t).ways  # checks cap_t
+        sets = []
+        new = object.__new__
+        for _ in range(count):
+            cset = new(cls)
+            cset.ways = ways.copy()
+            cset.index = {}
+            cset.keys = None
+            sets.append(cset)
+        return sets
+
     def count(self, domain: Domain) -> int:
         return sum(1 for m in self.ways if m.domain is domain)
 
@@ -207,13 +232,13 @@ class CacheSet:
         the set has them; the first pass that finds the persistent
         domain full keeps the keys it built."""
         keys = self.keys
-        if keys is None or domain is not Domain.PERSISTENT:
+        if keys is None or domain is not PERSISTENT:
             for idx, meta in enumerate(self.ways):
                 if meta.domain is domain and not meta.valid:
                     return idx
             # every way of the domain is valid: its keys are its stamps
             keys = [m.recency if m.domain is domain else _OUTSIDE_KEY for m in self.ways]
-            if domain is Domain.PERSISTENT:
+            if domain is PERSISTENT:
                 self.keys = keys
         least = min(keys)
         if least == _OUTSIDE_KEY:
@@ -225,18 +250,22 @@ class CacheSet:
         if not meta.valid:
             raise InvalidWay(f"way {way} is invalid")
         meta.recency = stamp
-        if self.keys is not None and meta.domain is Domain.PERSISTENT:
+        if self.keys is not None and meta.domain is PERSISTENT:
             self.keys[way] = stamp
 
     def install(self, way: int, tag: int, domain: Domain, owner_mask: int,
-                coh_state: CohState, stamp: int) -> None:
+                coh_state: CohState, stamp: int) -> int | None:
+        """Fill `way` with `tag`; return the tag of the line it held, or
+        None if the way was invalid."""
         index = self.index
         holder = index.get(tag, way)
         if holder != way:
             raise ValueError(f"tag {tag:#x} is already resident in way {holder}")
         meta = self.ways[way]
+        evicted = None
         if meta.valid:
-            del index[meta.tag]
+            evicted = meta.tag
+            del index[evicted]
         elif type(meta) is _UnusedWay:
             meta = self.ways[way] = _new_meta(CacheLineMeta)
         index[tag] = way
@@ -247,7 +276,8 @@ class CacheSet:
         meta.coh_state = coh_state
         meta.recency = stamp
         if self.keys is not None:
-            self.keys[way] = stamp if domain is Domain.PERSISTENT else _OUTSIDE_KEY
+            self.keys[way] = stamp if domain is PERSISTENT else _OUTSIDE_KEY
+        return evicted
 
     def invalidate(self, way: int) -> None:
         """Drop the contents of a way. The domain label is untouched."""
@@ -257,18 +287,18 @@ class CacheSet:
         del self.index[meta.tag]
         meta.valid = False
         meta.owner_mask = 0
-        meta.coh_state = CohState.INVALID
-        if self.keys is not None and meta.domain is Domain.PERSISTENT:
+        meta.coh_state = INVALID
+        if self.keys is not None and meta.domain is PERSISTENT:
             self.keys[way] = -1
 
     def relabel(self, way: int, domain: Domain) -> None:
         meta = self.ways[way]
         if type(meta) is _UnusedWay:
-            meta = self.ways[way] = _UNUSED_T if domain is Domain.TEMPORARY else _UNUSED_P
+            meta = self.ways[way] = _UNUSED_T if domain is TEMPORARY else _UNUSED_P
         else:
             meta.domain = domain
         if self.keys is not None:
-            if domain is Domain.TEMPORARY:
+            if domain is TEMPORARY:
                 self.keys[way] = _OUTSIDE_KEY
             else:
                 self.keys[way] = meta.recency if meta.valid else -1
@@ -280,7 +310,7 @@ class CacheSet:
         one, is dropped and its tag returned; the promoted line loses
         its owners and is stamped `stamp`."""
         ways = self.ways
-        victim = self.select_victim(Domain.PERSISTENT)
+        victim = self.select_victim(PERSISTENT)
         vmeta = ways[victim]
         evicted = None
         if vmeta.valid:
@@ -288,13 +318,13 @@ class CacheSet:
             del self.index[evicted]
             vmeta.valid = False
             vmeta.owner_mask = 0
-            vmeta.coh_state = CohState.INVALID
+            vmeta.coh_state = INVALID
         if type(vmeta) is _UnusedWay:
             ways[victim] = _UNUSED_T
         else:
-            vmeta.domain = Domain.TEMPORARY
+            vmeta.domain = TEMPORARY
         meta = ways[way]
-        meta.domain = Domain.PERSISTENT
+        meta.domain = PERSISTENT
         meta.owner_mask = 0
         meta.recency = stamp
         keys = self.keys

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cache import CohState
+from .cache import EXCLUSIVE, INVALID, MODIFIED, SHARED, CohState
 
 
 @dataclass(slots=True)
@@ -68,7 +68,7 @@ class Directory:
 
     def state(self, line: int) -> CohState:
         e = self._entries.get(line)
-        return e.state if e is not None else CohState.INVALID
+        return e.state if e is not None else INVALID
 
     def sharers(self, line: int) -> int:
         e = self._entries.get(line)
@@ -82,9 +82,9 @@ class Directory:
         e = self._entries.get(line)
         if e is None:
             # untracked line: committed loads take E, speculative only S
-            return CohState.SHARED if speculative else CohState.EXCLUSIVE
-        if e.state is CohState.SHARED:
-            return CohState.SHARED
+            return SHARED if speculative else EXCLUSIVE
+        if e.state is SHARED:
+            return SHARED
         # E or M somewhere
         return e.state if e.owner == core else None
 
@@ -95,7 +95,7 @@ class Directory:
         if e is None:
             return None
         others = e.sharers & ~(1 << core)
-        if others or (e.state in (CohState.EXCLUSIVE, CohState.MODIFIED) and e.owner != core):
+        if others or (e.state in (EXCLUSIVE, MODIFIED) and e.owner != core):
             return others
         return None
 
@@ -110,9 +110,9 @@ class Directory:
         else:
             e.sharers |= 1 << core
         e.state = state
-        e.owner = core if state is CohState.EXCLUSIVE or state is CohState.MODIFIED else None
+        e.owner = core if state is EXCLUSIVE or state is MODIFIED else None
 
-    def note_l2_fill(self, line: int, state: CohState = CohState.SHARED) -> None:
+    def note_l2_fill(self, line: int, state: CohState = SHARED) -> None:
         entries = self._entries
         if line not in entries:
             e = entries[line] = _new_entry(DirEntry)
@@ -129,7 +129,7 @@ class Directory:
     def downgrade(self, line: int) -> None:
         e = self._entries.get(line)
         if e is not None:
-            e.state = CohState.SHARED
+            e.state = SHARED
             e.owner = None
 
     def upgrade_for_store(self, line: int, core: int) -> None:
@@ -139,7 +139,7 @@ class Directory:
             e.sharers = 0
         else:
             e.sharers &= 1 << core
-        e.state = CohState.MODIFIED
+        e.state = MODIFIED
         e.owner = core
 
     def drop(self, line: int) -> int:

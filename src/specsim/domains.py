@@ -50,7 +50,10 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .cache import CacheGeometry, CacheSet, CohState, Domain
+from .cache import (
+    EXCLUSIVE, INVALID, MODIFIED, PERSISTENT, SHARED, TEMPORARY,
+    CacheGeometry, CacheSet, CohState, Domain,
+)
 from .ownership import ThreadOwnership
 
 
@@ -74,6 +77,9 @@ class AccessOutcome(Enum):
     MISS_BYPASSED = "miss_bypassed"
 
 
+HIT, PROMOTED, EMULATED_MISS, MISS_INSTALLED, MISS_BYPASSED = AccessOutcome
+
+
 class CacheLevel:
     """One cache level: geometry + sets + the domain/ownership policy."""
 
@@ -92,7 +98,7 @@ class CacheLevel:
         self.cap_t = cap_t
         self.protected = protected
         self.ownership = ThreadOwnership(num_threads)
-        self.sets = [CacheSet(geometry.ways, cap_t) for _ in range(geometry.num_sets)]
+        self.sets = CacheSet.new_sets(geometry.num_sets, geometry.ways, cap_t)
         # num_sets is a power of two: set index and tag are a mask and a shift
         self._set_mask = geometry.num_sets - 1
         self._tag_shift = geometry.num_sets.bit_length() - 1
@@ -128,7 +134,7 @@ class CacheLevel:
         cset = self.sets[line & self._set_mask]
         way = cset.index.get(line >> self._tag_shift)
         if way is None:
-            return CohState.INVALID
+            return INVALID
         return cset.ways[way].coh_state
 
     def set_coh_state(self, line: int, state: CohState) -> None:
@@ -143,7 +149,7 @@ class CacheLevel:
         self,
         line: int,
         thread: int,
-        coh_state: CohState = CohState.SHARED,
+        coh_state: CohState = SHARED,
     ) -> AccessOutcome:
         """Speculative access: hits observe, misses fill a temporary way.
 
@@ -158,37 +164,37 @@ class CacheLevel:
         cset = self.sets[si]
         way = cset.index.get(line >> self._tag_shift)
         if way is not None:
-            if cset.ways[way].domain is Domain.PERSISTENT:
+            if cset.ways[way].domain is PERSISTENT:
                 # no touch: even replacement-state updates wait for the
                 # commit notification, or a squashed hit would leave a trace
-                return AccessOutcome.HIT
+                return HIT
             if self.protected and self.ownership.check_and_acquire(cset, way, thread):
-                return AccessOutcome.EMULATED_MISS
+                return EMULATED_MISS
             # temporary recency is install order: no touch on hit
-            return AccessOutcome.HIT
+            return HIT
 
         if self.cap_t == 0:
             # no temporary ways here: fall back to plain persistent fills
-            self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-            return AccessOutcome.MISS_INSTALLED
+            self._install(si, line, PERSISTENT, 0, coh_state)
+            return MISS_INSTALLED
 
         # the owner bit is 1 << thread once the thread is known to be in
         # range: find_evictable checks it, or else bit() raises here
         if self.protected:
             way = self.ownership.find_evictable(cset, thread)
             if way is None:
-                return AccessOutcome.MISS_BYPASSED
+                return MISS_BYPASSED
         else:
             way = None
             if not 0 <= thread < self.ownership.num_threads:
                 self.ownership.bit(thread)
-        self._install(si, line, Domain.TEMPORARY, 1 << thread, coh_state, way)
-        return AccessOutcome.MISS_INSTALLED
+        self._install(si, line, TEMPORARY, 1 << thread, coh_state, way)
+        return MISS_INSTALLED
 
     def access_committed(
         self,
         line: int,
-        coh_state: CohState = CohState.EXCLUSIVE,
+        coh_state: CohState = EXCLUSIVE,
     ) -> AccessOutcome:
         """Non-speculative access, or commit notification, of `line`:
         a persistent line is a HIT (LRU refresh), a temporary one is
@@ -199,15 +205,15 @@ class CacheLevel:
         way = cset.index.get(line >> self._tag_shift)
         if way is not None:
             self._clock += 1
-            if cset.ways[way].domain is Domain.PERSISTENT:
+            if cset.ways[way].domain is PERSISTENT:
                 cset.touch(way, self._clock)
-                return AccessOutcome.HIT
+                return HIT
             evicted = cset.promote(way, self._clock)
             if evicted is not None:
                 self.on_evict(evicted << self._tag_shift | si)
-            return AccessOutcome.PROMOTED
-        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return AccessOutcome.MISS_INSTALLED
+            return PROMOTED
+        self._install(si, line, PERSISTENT, 0, coh_state)
+        return MISS_INSTALLED
 
     # commits come in by this name, so a tracer wrapping both counts them apart
     apply_commit = access_committed
@@ -219,14 +225,14 @@ class CacheLevel:
         si = line & self._set_mask
         cset = self.sets[si]
         if line >> self._tag_shift in cset.index:
-            return AccessOutcome.HIT
+            return HIT
         way = self.ownership.find_evictable(cset, thread)
         if way is None:
-            return AccessOutcome.MISS_BYPASSED
-        coh = CohState.MODIFIED if is_store else CohState.SHARED
+            return MISS_BYPASSED
+        coh = MODIFIED if is_store else SHARED
         # find_evictable has range-checked the thread
-        self._install(si, line, Domain.TEMPORARY, 1 << thread, coh, way)
-        return AccessOutcome.MISS_INSTALLED
+        self._install(si, line, TEMPORARY, 1 << thread, coh, way)
+        return MISS_INSTALLED
 
     # -- window resolution -------------------------------------------
 
@@ -243,7 +249,7 @@ class CacheLevel:
         if way is None:
             return False
         meta = cset.ways[way]
-        if meta.domain is Domain.PERSISTENT:
+        if meta.domain is PERSISTENT:
             return False
         bit = self.ownership.bit(thread)
         if meta.owner_mask == bit:
@@ -267,9 +273,9 @@ class CacheLevel:
         """Prefetch fill: persistent, no recency refresh on a hit."""
         si = line & self._set_mask
         if line >> self._tag_shift in self.sets[si].index:
-            return AccessOutcome.HIT
-        self._install(si, line, Domain.PERSISTENT, 0, coh_state)
-        return AccessOutcome.MISS_INSTALLED
+            return HIT
+        self._install(si, line, PERSISTENT, 0, coh_state)
+        return MISS_INSTALLED
 
     def reconfigure(self, new_cap_t: int) -> list[int]:
         """Relabel ways so every set has exactly `new_cap_t` temporary ways.
@@ -288,19 +294,19 @@ class CacheLevel:
         delta = new_cap_t - self.cap_t
         for si, cset in enumerate(self.sets):
             if delta > 0:
-                for way in cset.victim_order(Domain.PERSISTENT)[:delta]:
+                for way in cset.victim_order(PERSISTENT)[:delta]:
                     meta = cset.ways[way]
                     if meta.valid:
                         meta.owner_mask = 0
-                    cset.relabel(way, Domain.TEMPORARY)
+                    cset.relabel(way, TEMPORARY)
             elif delta < 0:
-                for way in cset.victim_order(Domain.TEMPORARY)[: -delta]:
+                for way in cset.victim_order(TEMPORARY)[: -delta]:
                     meta = cset.ways[way]
                     if meta.valid:
                         dropped.append(self.geometry.line_from(si, meta.tag))
                         cset.invalidate(way)
-                    cset.relabel(way, Domain.PERSISTENT)
-            assert cset.count(Domain.TEMPORARY) == new_cap_t
+                    cset.relabel(way, PERSISTENT)
+            assert cset.count(TEMPORARY) == new_cap_t
         self.cap_t = new_cap_t
         return dropped
 
@@ -317,16 +323,16 @@ class CacheLevel:
     ) -> None:
         """Fill `line` into `way` (by default the set's victim way of
         `domain`); report a line it evicts, then the fill, to the hooks.
-        `install` overwrites a valid way in place."""
+        `install` overwrites a valid way in place and returns the tag
+        it displaced."""
         cset = self.sets[set_index]
         if way is None:
             way = cset.select_victim(domain)
-        meta = cset.ways[way]
-        evicted = meta.tag << self._tag_shift | set_index if meta.valid else None
         self._clock += 1
-        cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state, self._clock)
+        evicted = cset.install(way, line >> self._tag_shift, domain, owner_mask, coh_state,
+                               self._clock)
         if evicted is not None:
-            self.on_evict(evicted)
+            self.on_evict(evicted << self._tag_shift | set_index)
         self.on_fill(line, coh_state)
 
     # -- introspection -----------------------------------------------

@@ -40,6 +40,17 @@ the window-log and notification records are ``NamedTuple``s, built by
 ``tuple.__new__`` at a tuple's cost on the hot path.  An observation
 stores the probed address, not its line: ``line`` is a property derived
 from ``addr``, so a retained probe holds one int fewer.
+
+Every enum member is bound once as a module constant right after its
+class (``TEMPORARY, PERSISTENT = Domain``), and the simulator's modules
+compare against those names, never against ``Domain.PERSISTENT``: on
+CPython 3.11 ``EnumType`` defines ``__getattr__``, so a member lookup on
+the class takes a slow metaclass path, about ten times a module global's
+load, and a step made some 25 of them.  Members whose names clash get
+distinct constants: ``HIT_CLASS`` (``LatencyClass``) beside ``HIT``
+(``AccessOutcome``), ``NOTE_COMMIT``/``NOTE_SQUASH`` (``NotifKind``)
+and ``OP_MGMT`` (``OpKind``) beside the event kinds.  The objects are
+the members themselves, so every ``is`` test reads as before.
 """
 
 from __future__ import annotations
@@ -51,25 +62,32 @@ from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from .cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, Domain, LevelId
+from .cache import (
+    ADDR_MASK, EXCLUSIVE, L1D, L1I, L2, LINE_SIZE, MODIFIED, PERSISTENT, SHARED,
+    CacheGeometry, CohState, Domain, LevelId,
+)
 from .coherence import DelayedOp, Directory
 from .config import SimConfig
-from .domains import AccessOutcome, CacheLevel, NotQuiescent
-from .notifier import (
-    AccessRecord,
-    Notification,
-    NotificationBuffer,
-    NotifKind,
-    OpKind,
-    WindowRegistry,
+from .domains import (
+    EMULATED_MISS, HIT, MISS_BYPASSED, MISS_INSTALLED, PROMOTED, CacheLevel, NotQuiescent,
 )
-from .trace import MGMT_OPS, EventKind, TraceEvent
+from .notifier import (
+    NOTE_COMMIT, NOTE_SQUASH, OP_ACCESS, OP_DELAYED, OP_MGMT, OP_TLB,
+    AccessRecord, Notification, NotificationBuffer, NotifKind, OpKind, WindowRegistry,
+)
+from .trace import (
+    COMMIT, IFETCH, LOAD, MEASURE, MGMT, MGMT_OPS, OPEN, PREFETCH, SQUASH, STORE, TLBMISS_LOAD,
+    TraceEvent,
+)
 
 
 class LatencyClass(Enum):
     HIT = "Hit"
     MISS = "Miss"
     AMBIGUOUS = "Ambiguous"
+
+
+HIT_CLASS, MISS_CLASS, AMBIGUOUS_CLASS = LatencyClass
 
 
 class TimingObservation(NamedTuple):
@@ -119,11 +137,8 @@ _new_record = tuple.__new__
 PROBE_WINDOW = -1
 
 # the event kinds that step() rejects without an address, or without a window
-_NEEDS_ADDR = (
-    EventKind.LOAD, EventKind.STORE, EventKind.IFETCH, EventKind.PREFETCH,
-    EventKind.MGMT, EventKind.TLBMISS_LOAD, EventKind.MEASURE,
-)
-_NEEDS_WINDOW = (EventKind.OPEN, EventKind.COMMIT, EventKind.SQUASH, EventKind.TLBMISS_LOAD)
+_NEEDS_ADDR = (LOAD, STORE, IFETCH, PREFETCH, MGMT, TLBMISS_LOAD, MEASURE)
+_NEEDS_WINDOW = (OPEN, COMMIT, SQUASH, TLBMISS_LOAD)
 
 
 class Engine:
@@ -139,9 +154,9 @@ class Engine:
             return CacheLevel(geom, cap, nthreads, protected=spec and cfg.tos and protect)
 
         l1_prot = cfg.smt > 1  # private L1s need masks only when SMT shares them
-        self.l1i = [build(cfg.l1i, LevelId.L1I, l1_prot) for _ in range(cfg.cores)]
-        self.l1d = [build(cfg.l1d, LevelId.L1D, l1_prot) for _ in range(cfg.cores)]
-        self.l2 = build(cfg.l2, LevelId.L2, True)
+        self.l1i = [build(cfg.l1i, L1I, l1_prot) for _ in range(cfg.cores)]
+        self.l1d = [build(cfg.l1d, L1D, l1_prot) for _ in range(cfg.cores)]
+        self.l2 = build(cfg.l2, L2, True)
         self.directory = Directory(cfg.cores)
         self.windows = WindowRegistry()
         self.nfb = NotificationBuffer(cfg.nfb_capacity)
@@ -239,10 +254,10 @@ class Engine:
         if is_store:
             # delayed by any remote copy, and by a locally persistent S
             # copy: that upgrade could not be rolled back on squash
-            grant = CohState.MODIFIED
+            grant = MODIFIED
             delayed = self.directory.grant_store(line, core) is not None or (
-                (l1.resident_domain(line) or self.l2.resident_domain(line)) is Domain.PERSISTENT
-                and self.directory.state(line) is CohState.SHARED
+                (l1.resident_domain(line) or self.l2.resident_domain(line)) is PERSISTENT
+                and self.directory.state(line) is SHARED
             )
         else:
             grant = self.directory.grant_load(line, core, True)
@@ -256,31 +271,31 @@ class Engine:
 
         latency = self._l1_hit
         r1 = l1.access_inflight(line, thread, grant)
-        if r1 is AccessOutcome.HIT:
+        if r1 is HIT:
             ctr["l1_hits"] += 1
         else:
-            if r1 is AccessOutcome.MISS_BYPASSED:
+            if r1 is MISS_BYPASSED:
                 ctr["suspended_installs"] += 1
                 self._pending.append(_new_record(_Pending, (l1, core, thread, window_id, line, is_store)))
-            elif r1 is AccessOutcome.EMULATED_MISS:
+            elif r1 is EMULATED_MISS:
                 ctr["emulated_misses"] += 1
             latency += l2_lat
             r2 = self.l2.access_inflight(line, thread, grant)
-            if r2 is AccessOutcome.HIT:
+            if r2 is HIT:
                 ctr["l2_hits"] += 1
             else:
                 latency += self._memory
                 ctr["memory_fills"] += 1
-                if r2 is AccessOutcome.MISS_BYPASSED:
+                if r2 is MISS_BYPASSED:
                     ctr["suspended_installs"] += 1
                     self._pending.append(
                         _new_record(_Pending, (self.l2, core, thread, window_id, line, is_store)))
-                elif r2 is AccessOutcome.EMULATED_MISS:
+                elif r2 is EMULATED_MISS:
                     ctr["emulated_misses"] += 1
 
         if is_store:
-            l1.set_coh_state(line, CohState.MODIFIED)
-            self.l2.set_coh_state(line, CohState.MODIFIED)
+            l1.set_coh_state(line, MODIFIED)
+            self.l2.set_coh_state(line, MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
         ctr["inflight_accesses"] += 1
@@ -320,17 +335,17 @@ class Engine:
                 self._invalidate_l1_copies(line, cores)
                 self.directory.remove_sharers(line, cores)
                 ctr["rfo_invalidations"] += cores.bit_count()
-            return CohState.MODIFIED, cores is not None
+            return MODIFIED, cores is not None
         grant = self.directory.grant_load(line, core, False)
         if grant is not None:
             return grant, False
         owner = self.directory.entry(line).owner
-        self.l1i[owner].set_coh_state(line, CohState.SHARED)
-        self.l1d[owner].set_coh_state(line, CohState.SHARED)
-        self.l2.set_coh_state(line, CohState.SHARED)
+        self.l1i[owner].set_coh_state(line, SHARED)
+        self.l1d[owner].set_coh_state(line, SHARED)
+        self.l2.set_coh_state(line, SHARED)
         self.directory.downgrade(line)
         ctr["owner_recalls"] += 1
-        return CohState.SHARED, True
+        return SHARED, True
 
     def _committed_line_access(
         self,
@@ -346,31 +361,31 @@ class Engine:
         l2_dom = self.l2.resident_domain(line)
         # an L1 copy implies a directory entry, so no entry and no L2
         # copy means nothing to purge
-        if l2_dom is not Domain.PERSISTENT and (
+        if l2_dom is not PERSISTENT and (
             l2_dom is not None or self.directory.entry(line) is not None
         ):
             self._purge_speculative_copies(line, l2_dom)
         grant, recalled = self._committed_grant(line, core, is_store)
-        if spec_fill and grant is CohState.EXCLUSIVE:
+        if spec_fill and grant is EXCLUSIVE:
             # a speculative access never earns exclusivity, even on
             # a hierarchy that installs it right away
-            grant = CohState.SHARED
+            grant = SHARED
 
         l2_lat = self._l2_local if line % self._cores == core else self._l2_remote
         latency = self._l1_hit
-        if l1.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
+        if l1.access_committed(line, grant) is not MISS_INSTALLED:
             ctr["l1_hits"] += 1
         else:
             latency += l2_lat
-            if self.l2.access_committed(line, grant) is not AccessOutcome.MISS_INSTALLED:
+            if self.l2.access_committed(line, grant) is not MISS_INSTALLED:
                 ctr["l2_hits"] += 1
             else:
                 latency += self._memory
                 ctr["memory_fills"] += 1
 
         if is_store:
-            l1.set_coh_state(line, CohState.MODIFIED)
-            self.l2.set_coh_state(line, CohState.MODIFIED)
+            l1.set_coh_state(line, MODIFIED)
+            self.l2.set_coh_state(line, MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
         ctr["committed_accesses"] += 1
@@ -385,7 +400,7 @@ class Engine:
         if self.directory.grant_load(line, thread // self._smt, True) is None:
             self.report.counters["prefetch_dropped"] += 1
             return
-        if self.l2.install_prefetch(line, CohState.SHARED) is AccessOutcome.MISS_INSTALLED:
+        if self.l2.install_prefetch(line, SHARED) is MISS_INSTALLED:
             self.report.counters["prefetch_fills"] += 1
 
     def _exec_mgmt(self, op: str, line: int, thread: int) -> None:
@@ -402,21 +417,21 @@ class Engine:
     def _deliver(self, thread: int, line: int, level_id: LevelId, kind: NotifKind, is_store: bool) -> None:
         """Apply one commit or squash notification at one level."""
         core = thread // self._smt
-        if level_id is LevelId.L2:
+        if level_id is L2:
             level = self.l2
         else:
-            level = (self.l1i if level_id is LevelId.L1I else self.l1d)[core]
+            level = (self.l1i if level_id is L1I else self.l1d)[core]
         ctr = self.report.counters
         if level.cap_t == 0:
             # a level running without temporary ways has nothing to
             # resolve: notifications targeting it are suppressed
             ctr["notifications_suppressed"] += 1
             return
-        if kind is NotifKind.SQUASH:
+        if kind is NOTE_SQUASH:
             dropped = level.apply_squash(line, thread)
             if dropped:
                 ctr["lines_squashed"] += 1
-                if level_id is not LevelId.L2:
+                if level_id is not L2:
                     level.on_evict(line)
                 # the L1 and L2 notes of one access can drain in either
                 # order (merging reorders them), so check for a fully
@@ -425,18 +440,18 @@ class Engine:
                     self.directory.drop(line)
             return
 
-        coh = CohState.EXCLUSIVE
+        coh = EXCLUSIVE
         if level.resident_domain(line) is None:
             # a commit-time re-install is fetched like a committed access,
             # but kept at S so a committed line looks the same whether it
             # was promoted in place or fetched back
             coh = self._committed_grant(line, core, is_store)[0]
-            if coh is CohState.EXCLUSIVE:
-                coh = CohState.SHARED
+            if coh is EXCLUSIVE:
+                coh = SHARED
         outcome = level.apply_commit(line, coh)
-        if outcome is AccessOutcome.MISS_INSTALLED:
+        if outcome is MISS_INSTALLED:
             ctr["rsr_reinstalls"] += 1
-        elif outcome is AccessOutcome.PROMOTED:
+        elif outcome is PROMOTED:
             ctr["lines_promoted"] += 1
         if is_store:
             # regardless of how the line got here (promoted in place,
@@ -444,7 +459,7 @@ class Engine:
             # it writable by this core: another window may have replaced
             # the in-flight copy with a shared one in the meantime
             self._committed_grant(line, core, True)
-            level.set_coh_state(line, CohState.MODIFIED)
+            level.set_coh_state(line, MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
     def _drain_nfb(self) -> None:
@@ -456,13 +471,13 @@ class Engine:
         (op name, line), a TLB payload the line, a DELAYED one a
         DelayedOp."""
         ctr = self.report.counters
-        if kind is OpKind.MGMT:
+        if kind is OP_MGMT:
             self._exec_mgmt(payload[0], payload[1], thread)
             ctr["mgmt_stalled_completed"] += 1
-        elif kind is OpKind.TLB:
+        elif kind is OP_TLB:
             self._committed_line_access(thread, payload, False, False)
             ctr["tlb_deferred_completed"] += 1
-        elif kind is OpKind.DELAYED:
+        elif kind is OP_DELAYED:
             op: DelayedOp = payload
             self._committed_line_access(op.thread, op.line, op.is_store, op.is_ifetch)
             ctr["delayed_completed"] += 1
@@ -477,15 +492,15 @@ class Engine:
         """
         rec = self.windows.close(window_id)
         self._pending = [p for p in self._pending if p.window != window_id]
-        commit = kind is NotifKind.COMMIT
+        commit = kind is NOTE_COMMIT
         ctr = self.report.counters
         ctr["windows_committed" if commit else "windows_squashed"] += 1
         if self._baseline:
             return
         for op, payload in rec.ops:
-            if op is OpKind.ACCESS:
+            if op is OP_ACCESS:
                 ar: AccessRecord = payload
-                for level_id in (ar.l1, LevelId.L2):
+                for level_id in (ar.l1, L2):
                     note = _new_record(
                         Notification, (window_id, rec.thread, ar.line, level_id, kind, ar.is_store))
                     for n in self.nfb.offer(note):
@@ -508,12 +523,12 @@ class Engine:
             keep: list[_Pending] = []
             for p in self._pending:
                 status = p.level.try_install_suspended(p.line, p.thread, p.is_store)
-                if status is AccessOutcome.MISS_INSTALLED:
+                if status is MISS_INSTALLED:
                     progress = True
                     self.report.counters["retried_installs"] += 1
                     if p.is_store and p.level is self.l2:
                         self.directory.upgrade_for_store(p.line, p.core)
-                elif status is AccessOutcome.MISS_BYPASSED:
+                elif status is MISS_BYPASSED:
                     keep.append(p)
                 # HIT: some other path brought the line in; drop it
             self._pending = keep
@@ -535,18 +550,18 @@ class Engine:
             nfb = self.nfb
             if delayed is None:
                 nfb.pass_through(2)
-                self._deliver(thread, line, LevelId.L1D, NotifKind.COMMIT, False)
-                self._deliver(thread, line, LevelId.L2, NotifKind.COMMIT, False)
+                self._deliver(thread, line, L1D, NOTE_COMMIT, False)
+                self._deliver(thread, line, L2, NOTE_COMMIT, False)
             else:
-                self._exec_deferred(OpKind.DELAYED, delayed, thread)
+                self._exec_deferred(OP_DELAYED, delayed, thread)
             ctr["nfb_merged"] = nfb.merged
             ctr["nfb_forced_out"] = nfb.forced_out
         if latency < self._hit_below:
-            klass = LatencyClass.HIT
+            klass = HIT_CLASS
         elif latency > self._miss_above:
-            klass = LatencyClass.MISS
+            klass = MISS_CLASS
         else:
-            klass = LatencyClass.AMBIGUOUS
+            klass = AMBIGUOUS_CLASS
         observations = self.report.observations
         obs = _new_record(TimingObservation, (len(observations), thread, addr, latency, klass))
         observations.append(obs)
@@ -587,7 +602,7 @@ class Engine:
             if addr < 0:
                 raise ValueError(f"address {addr} is negative")
             line = (addr & ADDR_MASK) // LINE_SIZE
-        if kind is EventKind.MGMT and ev.mgmt_op not in MGMT_OPS:
+        if kind is MGMT and ev.mgmt_op not in MGMT_OPS:
             raise ValueError(f"MGMT event has no mgmt_op from {MGMT_OPS}: {ev.mgmt_op!r}")
         rec = None
         if window is None:
@@ -597,22 +612,22 @@ class Engine:
             if window < 0:
                 # negative ids are reserved for the engine's probe windows
                 raise ValueError(f"window {window} is negative")
-            if kind is not EventKind.OPEN:
+            if kind is not OPEN:
                 rec = self.windows.get_open(window)
                 if rec.thread != thread:
                     raise ValueError(f"window {window} belongs to thread {rec.thread}, not {thread}")
         # the flush/probe loop's two kinds first: they are nearly every
         # event of a flush+reload attack
-        if kind is EventKind.MEASURE:
+        if kind is MEASURE:
             self._measure(thread, addr)
-        elif kind is EventKind.MGMT:
+        elif kind is MGMT:
             if rec is None or self._baseline:
                 self._exec_mgmt(ev.mgmt_op, line, thread)
             else:
-                rec.record(OpKind.MGMT, (ev.mgmt_op, line))
-        elif kind in (EventKind.LOAD, EventKind.STORE, EventKind.IFETCH):
-            is_store = kind is EventKind.STORE
-            is_ifetch = kind is EventKind.IFETCH
+                rec.record(OP_MGMT, (ev.mgmt_op, line))
+        elif kind in (LOAD, STORE, IFETCH):
+            is_store = kind is STORE
+            is_ifetch = kind is IFETCH
             if rec is None:
                 self._committed_line_access(thread, line, is_store, is_ifetch)
             elif self._baseline:
@@ -626,23 +641,23 @@ class Engine:
                     # must be able to repair an L2 copy torn down by a
                     # sibling window's squash even when the access hit at
                     # L1, and a squash must purge the L2 copy likewise
-                    l1_id = LevelId.L1I if is_ifetch else LevelId.L1D
-                    rec.ops.append((OpKind.ACCESS, _new_record(AccessRecord, (line, l1_id, is_store))))
+                    l1_id = L1I if is_ifetch else L1D
+                    rec.ops.append((OP_ACCESS, _new_record(AccessRecord, (line, l1_id, is_store))))
                 else:
-                    rec.ops.append((OpKind.DELAYED, delayed))
-        elif kind is EventKind.OPEN:
+                    rec.ops.append((OP_DELAYED, delayed))
+        elif kind is OPEN:
             self.windows.open(window, thread)
-        elif kind is EventKind.COMMIT:
-            self._resolve(window, NotifKind.COMMIT)
-        elif kind is EventKind.SQUASH:
-            self._resolve(window, NotifKind.SQUASH)
-        elif kind is EventKind.PREFETCH:
+        elif kind is COMMIT:
+            self._resolve(window, NOTE_COMMIT)
+        elif kind is SQUASH:
+            self._resolve(window, NOTE_SQUASH)
+        elif kind is PREFETCH:
             self._prefetch_line(line, thread)
-        elif kind is EventKind.TLBMISS_LOAD:
+        elif kind is TLBMISS_LOAD:
             if self._baseline:
                 self._committed_line_access(thread, line, False, False, spec_fill=True)
             else:
-                rec.record(OpKind.TLB, line)
+                rec.record(OP_TLB, line)
                 self.report.counters["tlb_deferred"] += 1
         # BARRIER: the retry sweep below is the fence
         if self._pending:

@@ -50,10 +50,16 @@ class OpKind(IntEnum):
     DELAYED = 3  # an access held by the coherence delay
 
 
+OP_ACCESS, OP_MGMT, OP_TLB, OP_DELAYED = OpKind
+
+
 class NotifKind(IntEnum):
     # an IntEnum hashes as a plain int: the NFB hashes a kind on every offer
     COMMIT = 0
     SQUASH = 1
+
+
+NOTE_COMMIT, NOTE_SQUASH = NotifKind
 
 
 class Notification(NamedTuple):

@@ -26,7 +26,7 @@ no emulated misses, no suspensions, eviction always succeeds.
 
 from __future__ import annotations
 
-from .cache import CacheSet, Domain
+from .cache import TEMPORARY, CacheSet
 
 
 class ThreadOwnership:
@@ -51,7 +51,7 @@ class ThreadOwnership:
         charge to one per thread per residency of the line.
         """
         meta = cache_set.ways[way]
-        assert meta.valid and meta.domain is Domain.TEMPORARY
+        assert meta.valid and meta.domain is TEMPORARY
         bit = self.bit(thread)
         if meta.owner_mask & bit:
             return False
@@ -76,7 +76,7 @@ class ThreadOwnership:
         shared: list[int] = []  # valid ways the requester co-owns with others
         ways = cache_set.ways
         for way, meta in enumerate(ways):
-            if meta.domain is not Domain.TEMPORARY:
+            if meta.domain is not TEMPORARY:
                 continue
             if not meta.valid:
                 return way

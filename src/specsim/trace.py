@@ -49,6 +49,10 @@ class EventKind(Enum):
     BARRIER = "BARRIER"
 
 
+(OPEN, LOAD, STORE, IFETCH, PREFETCH, MGMT, TLBMISS_LOAD, COMMIT, SQUASH, MEASURE,
+ BARRIER) = EventKind
+
+
 MGMT_OPS = ("flush", "invd", "prefetch")
 
 
@@ -63,61 +67,61 @@ class TraceEvent(NamedTuple):
 
     @classmethod
     def open(cls, thread: int, window: int) -> "TraceEvent":
-        return cls(EventKind.OPEN, thread=thread, window=window)
+        return cls(OPEN, thread=thread, window=window)
 
     @classmethod
     def load(cls, thread: int, addr: int, window: int | None = None) -> "TraceEvent":
-        return cls(EventKind.LOAD, thread=thread, addr=addr, window=window)
+        return cls(LOAD, thread=thread, addr=addr, window=window)
 
     @classmethod
     def store(cls, thread: int, addr: int, window: int | None = None) -> "TraceEvent":
-        return cls(EventKind.STORE, thread=thread, addr=addr, window=window)
+        return cls(STORE, thread=thread, addr=addr, window=window)
 
     @classmethod
     def ifetch(cls, thread: int, addr: int, window: int | None = None) -> "TraceEvent":
-        return cls(EventKind.IFETCH, thread=thread, addr=addr, window=window)
+        return cls(IFETCH, thread=thread, addr=addr, window=window)
 
     @classmethod
     def prefetch(cls, thread: int, addr: int) -> "TraceEvent":
-        return cls(EventKind.PREFETCH, thread=thread, addr=addr)
+        return cls(PREFETCH, thread=thread, addr=addr)
 
     @classmethod
     def mgmt(cls, op: str, thread: int, addr: int, window: int | None = None) -> "TraceEvent":
         if op not in MGMT_OPS:
             raise TraceParseError(f"unknown MGMT op {op!r}")
-        return cls(EventKind.MGMT, thread=thread, addr=addr, window=window, mgmt_op=op)
+        return cls(MGMT, thread=thread, addr=addr, window=window, mgmt_op=op)
 
     @classmethod
     def tlbmiss_load(cls, thread: int, addr: int, window: int) -> "TraceEvent":
-        return cls(EventKind.TLBMISS_LOAD, thread=thread, addr=addr, window=window)
+        return cls(TLBMISS_LOAD, thread=thread, addr=addr, window=window)
 
     @classmethod
     def commit(cls, thread: int, window: int) -> "TraceEvent":
-        return cls(EventKind.COMMIT, thread=thread, window=window)
+        return cls(COMMIT, thread=thread, window=window)
 
     @classmethod
     def squash(cls, thread: int, window: int) -> "TraceEvent":
-        return cls(EventKind.SQUASH, thread=thread, window=window)
+        return cls(SQUASH, thread=thread, window=window)
 
     @classmethod
     def measure(cls, thread: int, addr: int) -> "TraceEvent":
-        return cls(EventKind.MEASURE, thread=thread, addr=addr)
+        return cls(MEASURE, thread=thread, addr=addr)
 
     @classmethod
     def barrier(cls) -> "TraceEvent":
-        return cls(EventKind.BARRIER)
+        return cls(BARRIER)
 
     # -- text form -------------------------------------------------------
 
     def format(self) -> str:
         k = self.kind
-        if k is EventKind.BARRIER:
+        if k is BARRIER:
             return "BARRIER"
-        if k is EventKind.OPEN or k is EventKind.COMMIT or k is EventKind.SQUASH:
+        if k is OPEN or k is COMMIT or k is SQUASH:
             return f"{k.value} t{self.thread} w{self.window}"
-        if k is EventKind.MEASURE or k is EventKind.PREFETCH:
+        if k is MEASURE or k is PREFETCH:
             return f"{k.value} t{self.thread} {self.addr:#x}"
-        if k is EventKind.MGMT:
+        if k is MGMT:
             tail = f" w{self.window}" if self.window is not None else ""
             return f"MGMT {self.mgmt_op} t{self.thread} {self.addr:#x}{tail}"
         tail = f" w{self.window}" if self.window is not None else ""
@@ -129,17 +133,17 @@ class TraceEvent(NamedTuple):
 # token positions of the thread, the address and a required window
 # (0: the kind has no such field).
 _GRAMMAR: dict[str, tuple[EventKind, int, int, str, int, int, int]] = {
-    "OPEN": (EventKind.OPEN, 3, 3, "OPEN <thread> <window>", 1, 0, 2),
-    "COMMIT": (EventKind.COMMIT, 3, 3, "COMMIT <thread> <window>", 1, 0, 2),
-    "SQUASH": (EventKind.SQUASH, 3, 3, "SQUASH <thread> <window>", 1, 0, 2),
-    "LOAD": (EventKind.LOAD, 3, 4, "LOAD <thread> <addr> [<window>]", 1, 2, 0),
-    "STORE": (EventKind.STORE, 3, 4, "STORE <thread> <addr> [<window>]", 1, 2, 0),
-    "IFETCH": (EventKind.IFETCH, 3, 4, "IFETCH <thread> <addr> [<window>]", 1, 2, 0),
-    "PREFETCH": (EventKind.PREFETCH, 3, 3, "PREFETCH <thread> <addr>", 1, 2, 0),
-    "MEASURE": (EventKind.MEASURE, 3, 3, "MEASURE <thread> <addr>", 1, 2, 0),
-    "MGMT": (EventKind.MGMT, 4, 5, "MGMT <op> <thread> <addr> [<window>]", 2, 3, 0),
-    "TLBMISS_LOAD": (EventKind.TLBMISS_LOAD, 4, 4, "TLBMISS_LOAD <thread> <addr> <window>", 1, 2, 3),
-    "BARRIER": (EventKind.BARRIER, 1, 1, "BARRIER", 0, 0, 0),
+    "OPEN": (OPEN, 3, 3, "OPEN <thread> <window>", 1, 0, 2),
+    "COMMIT": (COMMIT, 3, 3, "COMMIT <thread> <window>", 1, 0, 2),
+    "SQUASH": (SQUASH, 3, 3, "SQUASH <thread> <window>", 1, 0, 2),
+    "LOAD": (LOAD, 3, 4, "LOAD <thread> <addr> [<window>]", 1, 2, 0),
+    "STORE": (STORE, 3, 4, "STORE <thread> <addr> [<window>]", 1, 2, 0),
+    "IFETCH": (IFETCH, 3, 4, "IFETCH <thread> <addr> [<window>]", 1, 2, 0),
+    "PREFETCH": (PREFETCH, 3, 3, "PREFETCH <thread> <addr>", 1, 2, 0),
+    "MEASURE": (MEASURE, 3, 3, "MEASURE <thread> <addr>", 1, 2, 0),
+    "MGMT": (MGMT, 4, 5, "MGMT <op> <thread> <addr> [<window>]", 2, 3, 0),
+    "TLBMISS_LOAD": (TLBMISS_LOAD, 4, 4, "TLBMISS_LOAD <thread> <addr> <window>", 1, 2, 3),
+    "BARRIER": (BARRIER, 1, 1, "BARRIER", 0, 0, 0),
 }
 
 
@@ -166,7 +170,7 @@ def parse_event(line: str, lineno: int = 0) -> TraceEvent | None:
     if not least <= n <= most:
         raise TraceParseError(f"line {lineno}: usage: {usage}")
     op = None
-    if kind is EventKind.MGMT:
+    if kind is MGMT:
         op = toks[1].lower()
         if op not in MGMT_OPS:
             raise TraceParseError(f"line {lineno}: unknown MGMT op {toks[1]!r}")

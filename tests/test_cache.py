@@ -67,6 +67,17 @@ def test_cap_t_must_leave_a_persistent_way():
         CacheSet(8, -1)
 
 
+def test_new_sets_match_sets_built_one_by_one():
+    sets = CacheSet.new_sets(3, 8, 3)
+    assert [c.snapshot() for c in sets] == [CacheSet(8, 3).snapshot()] * 3
+    assert all(c.index == {} and c.keys is None for c in sets)
+    sets[0].install(0, 9, Domain.PERSISTENT, 0, CohState.EXCLUSIVE, 1)
+    assert not sets[1].ways[0].valid and sets[1].index == {}
+    assert CacheSet.new_sets(0, 8, 3) == []
+    with pytest.raises(ValueError):
+        CacheSet.new_sets(3, 8, 8)
+
+
 def test_victim_order_prefers_invalid_then_lru():
     cset = CacheSet(8, 4)
     stamp = 0
@@ -175,7 +186,9 @@ def test_tag_index_and_victim_choice_match_linear_scans(ops):
                 with pytest.raises(ValueError):
                     cset.install(way, tag, domain, 0, CohState.SHARED, stamp)
             else:
-                cset.install(way, tag, domain, 0, CohState.SHARED, stamp)
+                meta = cset.ways[way]
+                displaced = meta.tag if meta.valid else None
+                assert cset.install(way, tag, domain, 0, CohState.SHARED, stamp) == displaced
         elif op == "touch" and cset.ways[way].valid:
             cset.touch(way, stamp)
         elif op == "invalidate":

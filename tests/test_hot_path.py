@@ -1,5 +1,5 @@
-"""Budgets of Python calls and of bytecodes per event on the engine's
-hot path.
+"""Budgets of Python calls, bytecodes and enum member lookups per
+event on the engine's hot path.
 
 `sys.setprofile` sees every Python frame that `Engine.step` opens, so
 the calls made per event are a count that host noise cannot move.  The
@@ -13,19 +13,35 @@ NamedTuple's constructor and a dataclass's ``__init__`` are Python
 frames too.  Each bound is what its case makes since fills of full sets
 stopped scanning their ways and records stopped opening constructor
 frames, rounded up to the next hundredth.
+
+Neither budget sees what a lookup such as ``Domain.PERSISTENT`` costs:
+it is one opcode, ``LOAD_ATTR`` on the class, and opens no frame.  But
+on 3.11 ``EnumType`` defines ``__getattr__``, so that opcode takes the
+slow metaclass path, about ten times a module global's load.  The
+simulator's modules therefore bind each member to a module constant
+right after its class and compare against that.  The last budget holds
+every case to no such lookup at all: `dis` finds each
+``LOAD_GLOBAL <enum class>`` + ``LOAD_ATTR`` pair in specsim's
+functions, and opcode tracing counts how often one runs.
 """
 
 from __future__ import annotations
 
+import dis
 import gc
+import importlib
+import pkgutil
 import platform
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from enum import EnumType
 
 import pytest
 
+import specsim
 from specsim.attacks import build_trace, scenario_config
+from specsim.cache import Domain
 from specsim.engine import Engine
 
 from test_golden import POC_REPS, soup_config, soup_events, stream_config, stream_trace
@@ -39,8 +55,9 @@ SOUP_BUDGET = {
     ("baseline", 2): 12.64,
 }
 # bytecodes per event on the golden specbox stream (1,204.29 when every
-# fill scanned the ways of its set)
-STREAM_BYTECODE_BUDGET = 865.72
+# fill scanned the ways of its set, 865.72 while the code still looked
+# up enum members on their classes)
+STREAM_BYTECODE_BUDGET = 826.11
 
 pytestmark = pytest.mark.skipif(
     platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
@@ -138,3 +155,123 @@ def test_full_sets_stay_within_the_bytecode_budget():
     events = stream_trace(cfg)
     per_event, by_name = bytecodes_per_event(Engine(cfg), events)
     _check(per_event, by_name, STREAM_BYTECODE_BUDGET, len(events), "bytecodes")
+
+
+def enum_lookup_sites(modules) -> dict:
+    """Code object -> {offset: line} of every ``LOAD_GLOBAL <enum
+    class>`` directly followed by ``LOAD_ATTR`` in the functions,
+    methods and nested functions that `modules` define."""
+    sites = {}
+    for module in modules:
+        enums = {name for name, v in vars(module).items() if isinstance(v, EnumType)}
+        for code in _code_objects(module):
+            instrs = list(dis.get_instructions(code))
+            pairs = {
+                load.offset: load.positions.lineno
+                for load, attr in zip(instrs, instrs[1:])
+                if load.opname == "LOAD_GLOBAL" and load.argval in enums
+                and attr.opname == "LOAD_ATTR"
+            }
+            if pairs:
+                sites[code] = pairs
+    return sites
+
+
+def _code_objects(module) -> list:
+    found = []
+    for value in vars(module).values():
+        if isinstance(value, type) and value.__module__ == module.__name__:
+            members = list(vars(value).values())
+        elif getattr(value, "__module__", None) == module.__name__:
+            members = [value]
+        else:
+            continue
+        for member in members:
+            # a function, a classmethod or staticmethod, or a property
+            for fn in (member, getattr(member, "__func__", None), getattr(member, "fget", None)):
+                code = getattr(fn, "__code__", None)
+                if code is not None:
+                    found.append(code)
+    for code in found:  # grows as nested functions turn up
+        found.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return found
+
+
+def specsim_modules() -> list:
+    return [importlib.import_module(f"specsim.{m.name}")
+            for m in pkgutil.iter_modules(specsim.__path__)]
+
+
+def enum_lookups(sites: dict, run) -> Counter:
+    """Call `run()`; return how often each site in `sites` ran, keyed
+    by function and line."""
+    hits: Counter = Counter()
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        pairs = sites.get(code)
+        if pairs is None:
+            return None
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        where = f"{code.co_qualname} ({code.co_filename.rsplit('/', 1)[-1]}:"
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                line = pairs.get(frame.f_lasti)
+                if line is not None:
+                    hits[f"{where}{line})"] += 1
+            return local
+
+        return local
+
+    with _collector_paused():
+        sys.settrace(trace)
+        try:
+            run()
+        finally:
+            sys.settrace(None)
+    return hits
+
+
+def _check_no_enum_lookups(eng: Engine, events: list) -> None:
+    sites = enum_lookup_sites(specsim_modules())
+
+    def run():
+        for ev in events:
+            eng.step(ev)
+
+    hits = enum_lookups(sites, run)
+    per_event = sum(hits.values()) / len(events)
+    where = ", ".join(f"{site} {n} times" for site, n in hits.most_common())
+    assert not hits, f"{per_event:.2f} enum member lookups per event: {where}"
+
+
+def _sample_lookup():
+    return Domain.PERSISTENT
+
+
+def test_the_lookup_count_sees_a_lookup():
+    sites = enum_lookup_sites([sys.modules[__name__]])
+    assert list(sites) == [_sample_lookup.__code__]
+    hits = enum_lookups(sites, lambda: [_sample_lookup() for _ in range(3)])
+    line = _sample_lookup.__code__.co_firstlineno + 1
+    assert hits == {f"_sample_lookup (test_hot_path.py:{line})": 3}
+
+
+@pytest.mark.parametrize("mode", sorted(POC_BUDGET))
+def test_poc_looks_up_no_enum_member(mode):
+    cfg = scenario_config("poc", mode)
+    _check_no_enum_lookups(Engine(cfg), build_trace("poc", 1, cfg, reps=POC_REPS))
+
+
+@pytest.mark.parametrize("mode, smt", sorted(SOUP_BUDGET))
+def test_soup_looks_up_no_enum_member(mode, smt):
+    cfg = soup_config(mode, smt)
+    _check_no_enum_lookups(Engine(cfg), soup_events(cfg, smt))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "specbox"])
+def test_stream_looks_up_no_enum_member(mode):
+    cfg = stream_config(mode)
+    _check_no_enum_lookups(Engine(cfg), stream_trace(cfg))
