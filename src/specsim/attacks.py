@@ -22,7 +22,9 @@ LOAD and SQUASH.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -91,22 +93,11 @@ def conflict_addrs(cfg: SimConfig, base: int, count: int) -> list[int]:
     return [base + (k + 1) * stride for k in range(count)]
 
 
-class _Ids:
-    """Monotonic window-id source for a trace builder."""
-
-    def __init__(self) -> None:
-        self.next = 0
-
-    def __call__(self) -> int:
-        self.next += 1
-        return self.next
-
-
 def _flush_all(t: int, addrs: list[int]) -> list[TraceEvent]:
     return [TraceEvent.mgmt("flush", t, a) for a in addrs]
 
 
-def _t1_flush_reload(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_flush_reload(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # transmitter speculatively loads X and squashes; receiver reloads X
     ev = _flush_all(0, [X_BASE])
     if bit:
@@ -116,7 +107,7 @@ def _t1_flush_reload(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
     return ev
 
 
-def _t1_spec_evict_persistent(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_spec_evict_persistent(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # speculative conflict walk tries to displace a persistent line
     ys = conflict_addrs(cfg, X_BASE, N_CONFLICTS)
     ev = _flush_all(0, [X_BASE] + ys)
@@ -130,7 +121,7 @@ def _t1_spec_evict_persistent(cfg: SimConfig, bit: int, ids: _Ids) -> list[Trace
     return ev
 
 
-def _t1_squash_evict_reinstall(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_squash_evict_reinstall(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # a squashed window evicts an in-flight line; its commit restores it
     ys = conflict_addrs(cfg, X_BASE, N_CONFLICTS)
     ev = _flush_all(0, [X_BASE] + ys)
@@ -146,7 +137,7 @@ def _t1_squash_evict_reinstall(cfg: SimConfig, bit: int, ids: _Ids) -> list[Trac
     return ev
 
 
-def _t1_concurrent_probe(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_concurrent_probe(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # receiver probes X while the transmitter's window is still open
     ev = _flush_all(1, [X_BASE])
     w = ids()
@@ -158,7 +149,7 @@ def _t1_concurrent_probe(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent
     return ev
 
 
-def _t1_crossthread_evict_inflight(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_crossthread_evict_inflight(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # transmitter tries to evict the receiver's own in-flight line
     ys = conflict_addrs(cfg, X_BASE, N_CONFLICTS)
     ev = _flush_all(1, [X_BASE] + ys)
@@ -175,7 +166,7 @@ def _t1_crossthread_evict_inflight(cfg: SimConfig, bit: int, ids: _Ids) -> list[
     return ev
 
 
-def _t1_crossthread_evict_persistent(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _t1_crossthread_evict_persistent(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # transmitter's speculative walk vs the receiver's persistent line
     ys = conflict_addrs(cfg, X_BASE, N_CONFLICTS)
     ev = _flush_all(1, [X_BASE] + ys)
@@ -189,7 +180,7 @@ def _t1_crossthread_evict_persistent(cfg: SimConfig, bit: int, ids: _Ids) -> lis
     return ev
 
 
-def _coh_e2s(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _coh_e2s(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # speculative load would downgrade a remote exclusive line; a third
     # thread's probe distinguishes E (owner recall) from S (shared hit)
     ev = _flush_all(0, [X_BASE])
@@ -203,7 +194,7 @@ def _coh_e2s(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
     return ev
 
 
-def _coh_inval(cfg: SimConfig, bit: int, ids: _Ids) -> list[TraceEvent]:
+def _coh_inval(cfg: SimConfig, bit: int, ids: Callable[[], int]) -> list[TraceEvent]:
     # speculative store would invalidate the owner's copy; the owner's
     # own reload tells whether that happened
     ev = _flush_all(1, [X_BASE])
@@ -238,7 +229,7 @@ def check_secret(secret: int) -> None:
         raise InvalidLine(f"secret {secret} out of range 0..{PROBE_LINES - 1}")
 
 
-def _poc(cfg: SimConfig, bit: int, ids: _Ids, secret: int = 79) -> list[TraceEvent]:
+def _poc(cfg: SimConfig, bit: int, ids: Callable[[], int], secret: int = 79) -> list[TraceEvent]:
     check_secret(secret)
     probes, flushes, measures = _poc_blocks()
     w = ids()
@@ -280,15 +271,21 @@ def scenario_names() -> list[str]:
     return [s.name for s in _SPECS]
 
 
-def build_trace(
-    name: str, bit: int, cfg: SimConfig, reps: int = 1, secret: int = 79
-) -> list[TraceEvent]:
+def _scenario(name: str) -> ScenarioSpec:
     spec = SCENARIOS.get(name)
     if spec is None:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
+    return spec
+
+
+def build_trace(
+    name: str, bit: int, cfg: SimConfig, reps: int = 1, secret: int = 79
+) -> list[TraceEvent]:
+    spec = _scenario(name)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    ids = _Ids()
+    # the builders draw window ids 1, 2, ... from one source per trace
+    ids = itertools.count(1).__next__
     events: list[TraceEvent] = []
     for _ in range(reps):
         if name == "poc":
@@ -299,10 +296,7 @@ def build_trace(
 
 
 def scenario_config(name: str, mode: str) -> SimConfig:
-    spec = SCENARIOS.get(name)
-    if spec is None:
-        raise KeyError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-    return SimConfig(mode=mode, cores=max(2, spec.cores)).validate()
+    return SimConfig(mode=mode, cores=max(2, _scenario(name).cores)).validate()
 
 
 def run_scenario(

@@ -28,7 +28,6 @@ from .cache import LINE_SIZE, CacheGeometry, Domain, LevelId
 from .config import ConfigError, LevelParams, SimConfig, load_config
 from .domains import AccessOutcome, CacheLevel
 from .engine import Engine, LatencyClass
-from .notifier import UnknownWindow, WindowClosed
 from .trace import TraceParseError, parse_event
 
 
@@ -147,7 +146,7 @@ def _cmd_run(args) -> int:
             continue
         try:
             engine.step(ev)
-        except (ValueError, UnknownWindow, WindowClosed) as exc:
+        except ValueError as exc:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return 1
     report = engine.report

@@ -103,17 +103,6 @@ class SimConfig:
         return dataclasses.replace(self, **kwargs).validate()
 
 
-def _get(section, key: str, default, conv):
-    """`section[key]` converted by `conv`, or `default` if the key is absent."""
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section.name}: bad value for {key}: {raw!r}") from exc
-
-
 def _bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -123,47 +112,39 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _level_from_ini(cp: configparser.ConfigParser, section: str, base: LevelParams) -> LevelParams:
-    if not cp.has_section(section):
-        return base
-    sec = cp[section]
-    return LevelParams(
-        size_bytes=_get(sec, "size_kb", base.size_bytes // 1024, int) * 1024,
-        ways=_get(sec, "ways", base.ways, int),
-        cap_t=_get(sec, "cap_t", base.cap_t, int),
-    )
+# a key's value is converted by the type of its field's default
+_CONVERT = {bool: _bool, int: int, str: str}
+
+
+def _from_ini(cp: configparser.ConfigParser, name: str, base):
+    """`base` with every field that section `name` sets.  A field that
+    holds parameters of its own reads the section of its name, and
+    `size_bytes` is set in kilobytes as `size_kb`."""
+    sec = cp[name] if cp.has_section(name) else {}
+    values = {}
+    for f in dataclasses.fields(base):
+        default = getattr(base, f.name)
+        if dataclasses.is_dataclass(default):
+            values[f.name] = _from_ini(cp, f.name, default)
+            continue
+        key = "size_kb" if f.name == "size_bytes" else f.name
+        if key not in sec:
+            continue
+        raw = sec[key]
+        try:
+            value = _CONVERT[type(default)](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: bad value for {key}: {raw!r}") from exc
+        values[f.name] = value * 1024 if key == "size_kb" else value
+    return dataclasses.replace(base, **values)
 
 
 def load_config(path: str) -> SimConfig:
-    """Read an INI config file; unspecified keys keep their defaults."""
+    """Read an INI config file; unspecified keys keep their defaults.
+    `[sim]` holds SimConfig's own fields, and each parameter group
+    (`[l1i]`, `[l1d]`, `[l2]`, `[latency]`, `[thresholds]`) its own."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    base = SimConfig()
-    sim = cp["sim"] if cp.has_section("sim") else {}
-    lat = cp["latency"] if cp.has_section("latency") else {}
-    th = cp["thresholds"] if cp.has_section("thresholds") else {}
-
-    cfg = SimConfig(
-        mode=_get(sim, "mode", base.mode, str),
-        cores=_get(sim, "cores", base.cores, int),
-        smt=_get(sim, "smt", base.smt, int),
-        l1i=_level_from_ini(cp, "l1i", base.l1i),
-        l1d=_level_from_ini(cp, "l1d", base.l1d),
-        l2=_level_from_ini(cp, "l2", base.l2),
-        latency=LatencyParams(
-            l1_hit=_get(lat, "l1_hit", base.latency.l1_hit, int),
-            l2_local=_get(lat, "l2_local", base.latency.l2_local, int),
-            l2_remote=_get(lat, "l2_remote", base.latency.l2_remote, int),
-            memory=_get(lat, "memory", base.latency.memory, int),
-        ),
-        thresholds=ThresholdParams(
-            hit_below=_get(th, "hit_below", base.thresholds.hit_below, int),
-            miss_above=_get(th, "miss_above", base.thresholds.miss_above, int),
-        ),
-        nfb_capacity=_get(sim, "nfb_capacity", base.nfb_capacity, int),
-        tos=_get(sim, "tos", base.tos, _bool),
-        prefetch=_get(sim, "prefetch", base.prefetch, _bool),
-    )
-    return cfg.validate()
+    return _from_ini(cp, "sim", SimConfig()).validate()

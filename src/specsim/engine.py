@@ -30,6 +30,10 @@ unused window id ``w``, because the buffer is empty whenever a window
 resolves and an access's L1 and L2 notes never merge; the buffer's
 ``pass_through`` counts what its own policy would have forced out.
 
+``step`` checks an event before it changes anything: a rejected event
+raises ``ValueError`` (the window errors ``UnknownWindow`` and
+``WindowClosed`` subclass it) and leaves the engine as it was.
+
 No access path notes a fill or an eviction: the levels' hooks do.
 ``step`` tests the two kinds of the flush/probe loop (MEASURE, then
 MGMT) first, and the latencies, core count and prefetch flag it reads
@@ -462,10 +466,6 @@ class Engine:
             level.set_coh_state(line, MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
-    def _drain_nfb(self) -> None:
-        for n in self.nfb.drain():
-            self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
-
     def _exec_deferred(self, kind: OpKind, payload, thread: int) -> None:
         """Run a logged op of a committing window.  A MGMT payload is
         (op name, line), a TLB payload the line, a DELAYED one a
@@ -497,22 +497,25 @@ class Engine:
         ctr["windows_committed" if commit else "windows_squashed"] += 1
         if self._baseline:
             return
+        nfb = self.nfb
         for op, payload in rec.ops:
             if op is OP_ACCESS:
                 ar: AccessRecord = payload
                 for level_id in (ar.l1, L2):
                     note = _new_record(
                         Notification, (window_id, rec.thread, ar.line, level_id, kind, ar.is_store))
-                    for n in self.nfb.offer(note):
+                    for n in nfb.offer(note):
                         self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
             elif commit:
-                self._drain_nfb()
+                for n in nfb.drain():
+                    self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
                 self._exec_deferred(op, payload, rec.thread)
             else:
                 ctr["deferred_dropped"] += 1
-        self._drain_nfb()
-        ctr["nfb_merged"] = self.nfb.merged
-        ctr["nfb_forced_out"] = self.nfb.forced_out
+        for n in nfb.drain():
+            self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
+        ctr["nfb_merged"] = nfb.merged
+        ctr["nfb_forced_out"] = nfb.forced_out
 
     # -- suspended install retries -------------------------------------------
 
@@ -624,7 +627,7 @@ class Engine:
             if rec is None or self._baseline:
                 self._exec_mgmt(ev.mgmt_op, line, thread)
             else:
-                rec.record(OP_MGMT, (ev.mgmt_op, line))
+                rec.ops.append((OP_MGMT, (ev.mgmt_op, line)))
         elif kind in (LOAD, STORE, IFETCH):
             is_store = kind is STORE
             is_ifetch = kind is IFETCH
@@ -657,7 +660,7 @@ class Engine:
             if self._baseline:
                 self._committed_line_access(thread, line, False, False, spec_fill=True)
             else:
-                rec.record(OP_TLB, line)
+                rec.ops.append((OP_TLB, line))
                 self.report.counters["tlb_deferred"] += 1
         # BARRIER: the retry sweep below is the fence
         if self._pending:

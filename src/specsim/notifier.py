@@ -26,19 +26,18 @@ load note replaces the entry with ``_replace``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, NamedTuple
 
 from .cache import LevelId
 
 
-class UnknownWindow(Exception):
+class UnknownWindow(ValueError):
     """Operation names a window id that is not open."""
 
 
-class WindowClosed(Exception):
-    """Opening an id that is already open, or logging to a closed record."""
+class WindowClosed(ValueError):
+    """Opening an id that is already open."""
 
 
 class OpKind(IntEnum):
@@ -131,20 +130,15 @@ class AccessRecord(NamedTuple):
     is_store: bool = False
 
 
-@dataclass
 class WindowRecord:
-    window_id: int
-    thread: int
-    is_open: bool = True
-    # program-ordered log of (OpKind, payload); an ACCESS payload is an
-    # AccessRecord, the others are opaque to this module and executed
-    # by the engine at commit.
-    ops: list[tuple[OpKind, Any]] = field(default_factory=list)
+    """An open window: its thread and its program-ordered log of
+    (OpKind, payload).  An ACCESS payload is an AccessRecord; the others
+    are opaque to this module and executed by the engine at commit.
+    Every op is logged by appending to `ops`."""
 
-    def record(self, kind: OpKind, payload: Any) -> None:
-        if not self.is_open:
-            raise WindowClosed(f"window {self.window_id} is closed")
-        self.ops.append((kind, payload))
+    __slots__ = ("thread", "ops", "__weakref__")
+    thread: int
+    ops: list[tuple[OpKind, Any]]
 
 
 class WindowRegistry:
@@ -154,6 +148,8 @@ class WindowRegistry:
     kept: the caller that closed it keeps the returned record for as
     long as it walks the log, naming the id again raises UnknownWindow
     just as for an id never opened, and the id may be opened afresh.
+    Records reach the engine only through `get_open` and `close`, so
+    nothing logs to a closed window.
     """
 
     def __init__(self) -> None:
@@ -162,7 +158,9 @@ class WindowRegistry:
     def open(self, window_id: int, thread: int) -> WindowRecord:
         if window_id in self._windows:
             raise WindowClosed(f"window {window_id} is already open")
-        rec = WindowRecord(window_id=window_id, thread=thread)
+        rec = object.__new__(WindowRecord)  # no __init__ frame
+        rec.thread = thread
+        rec.ops = []
         self._windows[window_id] = rec
         return rec
 
@@ -173,9 +171,9 @@ class WindowRegistry:
         return rec
 
     def close(self, window_id: int) -> WindowRecord:
-        rec = self.get_open(window_id)
-        del self._windows[window_id]
-        rec.is_open = False
+        rec = self._windows.pop(window_id, None)
+        if rec is None:
+            raise UnknownWindow(f"window {window_id} is not open")
         return rec
 
     def any_open(self) -> bool:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from specsim.cli import main, run_walkthrough
-from specsim.config import ConfigError, LevelParams
+from specsim.config import (
+    ConfigError, LatencyParams, LevelParams, SimConfig, ThresholdParams, load_config,
+)
 
 
 def test_replay_walkthrough_passes(capsys):
@@ -96,6 +100,72 @@ def test_zero_ways_is_a_config_error_not_a_crash(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: l2: need at least 2 ways\n"
     assert captured.out == ""
+
+
+FULL_INI = """\
+[sim]
+mode = baseline
+cores = 4
+smt = 2
+nfb_capacity = 8
+tos = off
+prefetch = yes
+
+[l1i]
+size_kb = 16
+ways = 2
+cap_t = 1
+
+[l1d]
+size_kb = 32
+ways = 4
+cap_t = 3
+
+[l2]
+size_kb = 1024
+ways = 8
+cap_t = 5
+
+[latency]
+l1_hit = 2
+l2_local = 9
+l2_remote = 18
+memory = 300
+
+[thresholds]
+hit_below = 40
+miss_above = 160
+"""
+
+
+def _leaves(cfg) -> dict:
+    """Every scalar field of a config, keyed by its path."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{f.name}.{k}": v for k, v in _leaves(value).items()})
+        else:
+            out[f.name] = value
+    return out
+
+
+def test_ini_setting_every_key_loads_the_config_it_names(tmp_path):
+    expected = SimConfig(
+        mode="baseline", cores=4, smt=2,
+        l1i=LevelParams(16 * 1024, 2, 1),
+        l1d=LevelParams(32 * 1024, 4, 3),
+        l2=LevelParams(1024 * 1024, 8, 5),
+        latency=LatencyParams(l1_hit=2, l2_local=9, l2_remote=18, memory=300),
+        thresholds=ThresholdParams(hit_below=40, miss_above=160),
+        nfb_capacity=8, tos=False, prefetch=True,
+    )
+    # the file sets every key: no field keeps its default
+    defaults = _leaves(SimConfig())
+    assert sorted(k for k, v in _leaves(expected).items() if v == defaults[k]) == []
+    ini = tmp_path / "full.ini"
+    ini.write_text(FULL_INI)
+    assert load_config(str(ini)) == expected
 
 
 @pytest.mark.parametrize("section, key, raw", [("l2", "ways", "abc"), ("l1d", "size_kb", "1.5")])

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from specsim.engine import Engine
-from specsim.notifier import UnknownWindow, WindowClosed
+from specsim.notifier import UnknownWindow
 from specsim.trace import MGMT_OPS, EventKind, TraceEvent
 
 from conftest import small_config
 from gentraces import contended_pool
 
 K = EventKind
-REJECTED = (ValueError, UnknownWindow, WindowClosed)
+REJECTED = ValueError
 
 # every kind that names a window, built for (thread, addr, window)
 IN_WINDOW = [
