@@ -29,16 +29,14 @@ copies, or None when no other core holds the line: a speculative store
 is then delayed, a committed one shoots those copies down (a mask of 0
 is a remote E/M owner whose L1 copy has gone) and takes M.  The
 persistent-S rule is the engine's, which knows the local copy's
-domain.  A :class:`DelayedOp` is a ``NamedTuple``, and directory
-entries are slotted and built without a Python ``__init__`` frame.
-``note_l1_fill`` takes the core first, so an L1's fill hook can be the
-method with the core bound positionally.
+domain.  Directory entries are slotted and built without a Python
+``__init__`` frame.  ``note_l1_fill`` takes the core first, so an L1's
+fill hook can be the method with the core bound positionally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .cache import EXCLUSIVE, INVALID, MODIFIED, SHARED, CohState
 
@@ -159,11 +157,3 @@ class Directory:
             for line, e in sorted(self._entries.items())
         )
 
-
-class DelayedOp(NamedTuple):
-    """A speculative access parked until its window resolves."""
-
-    thread: int
-    line: int
-    is_store: bool = False
-    is_ifetch: bool = False

@@ -117,10 +117,13 @@ _CONVERT = {bool: _bool, int: int, str: str}
 
 
 def _from_ini(cp: configparser.ConfigParser, name: str, base):
-    """`base` with every field that section `name` sets.  A field that
-    holds parameters of its own reads the section of its name, and
-    `size_bytes` is set in kilobytes as `size_kb`."""
+    """`base` with every field that section `name` sets, which is then
+    removed from `cp`.  A field that holds parameters of its own reads
+    the section of its name, and `size_bytes` is set in kilobytes as
+    `size_kb`.  A key that no field reads is an error, unless it comes
+    from `[DEFAULT]`, which every section inherits."""
     sec = cp[name] if cp.has_section(name) else {}
+    unknown = set(sec).difference(cp.defaults())
     values = {}
     for f in dataclasses.fields(base):
         default = getattr(base, f.name)
@@ -128,6 +131,7 @@ def _from_ini(cp: configparser.ConfigParser, name: str, base):
             values[f.name] = _from_ini(cp, f.name, default)
             continue
         key = "size_kb" if f.name == "size_bytes" else f.name
+        unknown.discard(key)
         if key not in sec:
             continue
         raw = sec[key]
@@ -136,15 +140,22 @@ def _from_ini(cp: configparser.ConfigParser, name: str, base):
         except ValueError as exc:
             raise ConfigError(f"{name}: bad value for {key}: {raw!r}") from exc
         values[f.name] = value * 1024 if key == "size_kb" else value
+    if unknown:
+        raise ConfigError(f"{name}: unknown key {min(unknown)!r}")
+    cp.remove_section(name)
     return dataclasses.replace(base, **values)
 
 
 def load_config(path: str) -> SimConfig:
     """Read an INI config file; unspecified keys keep their defaults.
     `[sim]` holds SimConfig's own fields, and each parameter group
-    (`[l1i]`, `[l1d]`, `[l2]`, `[latency]`, `[thresholds]`) its own."""
+    (`[l1i]`, `[l1d]`, `[l2]`, `[latency]`, `[thresholds]`) its own; a
+    misspelt section or key is an error, not a silent default."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    return _from_ini(cp, "sim", SimConfig()).validate()
+    cfg = _from_ini(cp, "sim", SimConfig())
+    stray = cp.sections()  # _from_ini removed every section it read
+    if stray:
+        raise ConfigError(f"{stray[0]}: unknown section")
+    return cfg.validate()

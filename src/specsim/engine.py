@@ -40,8 +40,9 @@ MGMT) first, and the latencies, core count and prefetch flag it reads
 per event are attributes set at construction (``SimConfig`` is frozen).
 
 The per-probe :class:`TimingObservation`, the parked-fill record and
-the window-log and notification records are ``NamedTuple``s, built by
-``tuple.__new__`` at a tuple's cost on the hot path.  An observation
+the :class:`AccessRecord` that a window logs per access and resolves as
+its L1 note are ``NamedTuple``s, built by ``tuple.__new__`` at a
+tuple's cost on the hot path.  An observation
 stores the probed address, not its line: ``line`` is a property derived
 from ``addr``, so a retained probe holds one int fewer.
 
@@ -52,9 +53,9 @@ CPython 3.11 ``EnumType`` defines ``__getattr__``, so a member lookup on
 the class takes a slow metaclass path, about ten times a module global's
 load, and a step made some 25 of them.  Members whose names clash get
 distinct constants: ``HIT_CLASS`` (``LatencyClass``) beside ``HIT``
-(``AccessOutcome``), ``NOTE_COMMIT``/``NOTE_SQUASH`` (``NotifKind``)
-and ``OP_MGMT`` (``OpKind``) beside the event kinds.  The objects are
-the members themselves, so every ``is`` test reads as before.
+(``AccessOutcome``) and ``OP_MGMT`` (``OpKind``) beside the event
+kinds.  The objects are the members themselves, so every ``is`` test
+reads as before.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ from .cache import (
     ADDR_MASK, EXCLUSIVE, L1D, L1I, L2, LINE_SIZE, MODIFIED, PERSISTENT, SHARED,
     CacheGeometry, CohState, Domain, LevelId,
 )
-from .coherence import DelayedOp, Directory
+from .coherence import Directory
 from .config import SimConfig
 from .domains import (
     EMULATED_MISS, HIT, MISS_BYPASSED, MISS_INSTALLED, PROMOTED, CacheLevel, NotQuiescent,
 )
 from .notifier import (
-    NOTE_COMMIT, NOTE_SQUASH, OP_ACCESS, OP_DELAYED, OP_MGMT, OP_TLB,
-    AccessRecord, Notification, NotificationBuffer, NotifKind, OpKind, WindowRegistry,
+    OP_ACCESS, OP_DELAYED, OP_MGMT, OP_TLB, AccessRecord, NotificationBuffer, OpKind, WindowRegistry,
 )
 from .trace import (
     COMMIT, IFETCH, LOAD, MEASURE, MGMT, MGMT_OPS, OPEN, PREFETCH, SQUASH, STORE, TLBMISS_LOAD,
@@ -246,11 +246,11 @@ class Engine:
 
     def _inflight_access(
         self, thread: int, window_id: int, line: int, is_store: bool, is_ifetch: bool
-    ) -> tuple[int, DelayedOp | None]:
+    ) -> tuple[int, bool]:
         """Run one access in flight inside window `window_id`.  Returns
-        its latency and, if the coherence delay held it back without
-        touching any level, the DelayedOp to replay at commit; the
-        caller logs the access (or the DelayedOp) to the window."""
+        its latency and whether the coherence delay held it back without
+        touching any level, to be replayed at commit; the caller logs
+        the access to the window either way."""
         core = thread // self._smt
         l1 = (self.l1i if is_ifetch else self.l1d)[core]
         ctr = self.report.counters
@@ -271,7 +271,7 @@ class Engine:
         if delayed:
             ctr["delayed_coherence"] += 1
             full_miss = self._l1_hit + l2_lat + self._memory
-            return full_miss, _new_record(DelayedOp, (thread, line, is_store, is_ifetch))
+            return full_miss, True
 
         latency = self._l1_hit
         r1 = l1.access_inflight(line, thread, grant)
@@ -303,7 +303,7 @@ class Engine:
             self.directory.upgrade_for_store(line, core)
 
         ctr["inflight_accesses"] += 1
-        return latency, None
+        return latency, False
 
     # -- committed access path ---------------------------------------------
 
@@ -418,8 +418,9 @@ class Engine:
 
     # -- window resolution -----------------------------------------------
 
-    def _deliver(self, thread: int, line: int, level_id: LevelId, kind: NotifKind, is_store: bool) -> None:
-        """Apply one commit or squash notification at one level."""
+    def _deliver(self, thread: int, line: int, level_id: LevelId, commit: bool, is_store: bool) -> None:
+        """Apply one commit (or, if not `commit`, squash) notification
+        of `thread`'s window at one level."""
         core = thread // self._smt
         if level_id is L2:
             level = self.l2
@@ -431,7 +432,7 @@ class Engine:
             # resolve: notifications targeting it are suppressed
             ctr["notifications_suppressed"] += 1
             return
-        if kind is NOTE_SQUASH:
+        if not commit:
             dropped = level.apply_squash(line, thread)
             if dropped:
                 ctr["lines_squashed"] += 1
@@ -445,11 +446,18 @@ class Engine:
             return
 
         coh = EXCLUSIVE
-        if level.resident_domain(line) is None:
+        if is_store:
+            # however the line gets here, a committing store leaves it
+            # writable by this core: another window may have replaced the
+            # in-flight copy with a shared one.  The shoot-down touches
+            # other cores' copies of this line only, so it goes first
+            self._committed_grant(line, core, True)
+            coh = MODIFIED
+        elif level.resident_domain(line) is None:
             # a commit-time re-install is fetched like a committed access,
             # but kept at S so a committed line looks the same whether it
             # was promoted in place or fetched back
-            coh = self._committed_grant(line, core, is_store)[0]
+            coh = self._committed_grant(line, core, False)[0]
             if coh is EXCLUSIVE:
                 coh = SHARED
         outcome = level.apply_commit(line, coh)
@@ -458,18 +466,13 @@ class Engine:
         elif outcome is PROMOTED:
             ctr["lines_promoted"] += 1
         if is_store:
-            # regardless of how the line got here (promoted in place,
-            # touched, or fetched back), a committing store must leave
-            # it writable by this core: another window may have replaced
-            # the in-flight copy with a shared one in the meantime
-            self._committed_grant(line, core, True)
             level.set_coh_state(line, MODIFIED)
             self.directory.upgrade_for_store(line, core)
 
     def _exec_deferred(self, kind: OpKind, payload, thread: int) -> None:
-        """Run a logged op of a committing window.  A MGMT payload is
-        (op name, line), a TLB payload the line, a DELAYED one a
-        DelayedOp."""
+        """Run a logged op of `thread`'s committing window.  A MGMT
+        payload is (op name, line), a TLB payload the line, a DELAYED one
+        the access's AccessRecord."""
         ctr = self.report.counters
         if kind is OP_MGMT:
             self._exec_mgmt(payload[0], payload[1], thread)
@@ -478,42 +481,40 @@ class Engine:
             self._committed_line_access(thread, payload, False, False)
             ctr["tlb_deferred_completed"] += 1
         elif kind is OP_DELAYED:
-            op: DelayedOp = payload
-            self._committed_line_access(op.thread, op.line, op.is_store, op.is_ifetch)
+            self._committed_line_access(thread, payload.line, payload.is_store, payload.level is L1I)
             ctr["delayed_completed"] += 1
 
-    def _resolve(self, window_id: int, kind: NotifKind) -> None:
-        """Close a window and walk its log in program order.
+    def _resolve(self, window_id: int, commit: bool) -> None:
+        """Close a window and walk its log in program order, committing
+        it or (if not `commit`) squashing it.
 
         Each access sends its L1 and then its L2 notification through
-        the NFB.  A commit executes the window's deferred operations,
-        draining the NFB before each so that program order holds across
-        op kinds; a squash drops them.
+        the NFB: the logged record is the L1 note.  A commit executes the
+        window's deferred operations, draining the NFB before each so
+        that program order holds across op kinds; a squash drops them.
+        The NFB is empty again when the walk ends.
         """
         rec = self.windows.close(window_id)
         self._pending = [p for p in self._pending if p.window != window_id]
-        commit = kind is NOTE_COMMIT
         ctr = self.report.counters
         ctr["windows_committed" if commit else "windows_squashed"] += 1
         if self._baseline:
             return
         nfb = self.nfb
+        thread = rec.thread
         for op, payload in rec.ops:
             if op is OP_ACCESS:
-                ar: AccessRecord = payload
-                for level_id in (ar.l1, L2):
-                    note = _new_record(
-                        Notification, (window_id, rec.thread, ar.line, level_id, kind, ar.is_store))
+                for note in (payload, _new_record(AccessRecord, (payload.line, L2, payload.is_store))):
                     for n in nfb.offer(note):
-                        self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
+                        self._deliver(thread, n.line, n.level, commit, n.is_store)
             elif commit:
                 for n in nfb.drain():
-                    self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
-                self._exec_deferred(op, payload, rec.thread)
+                    self._deliver(thread, n.line, n.level, commit, n.is_store)
+                self._exec_deferred(op, payload, thread)
             else:
                 ctr["deferred_dropped"] += 1
         for n in nfb.drain():
-            self._deliver(n.thread, n.line, n.level, n.kind, n.is_store)
+            self._deliver(thread, n.line, n.level, commit, n.is_store)
         ctr["nfb_merged"] = nfb.merged
         ctr["nfb_forced_out"] = nfb.forced_out
 
@@ -551,12 +552,12 @@ class Engine:
             del self._pending[pending:]
             ctr["windows_committed"] += 1
             nfb = self.nfb
-            if delayed is None:
-                nfb.pass_through(2)
-                self._deliver(thread, line, L1D, NOTE_COMMIT, False)
-                self._deliver(thread, line, L2, NOTE_COMMIT, False)
+            if delayed:
+                self._exec_deferred(OP_DELAYED, _new_record(AccessRecord, (line, L1D, False)), thread)
             else:
-                self._exec_deferred(OP_DELAYED, delayed, thread)
+                nfb.pass_through(2)
+                self._deliver(thread, line, L1D, True, False)
+                self._deliver(thread, line, L2, True, False)
             ctr["nfb_merged"] = nfb.merged
             ctr["nfb_forced_out"] = nfb.forced_out
         if latency < self._hit_below:
@@ -636,24 +637,19 @@ class Engine:
             elif self._baseline:
                 self._committed_line_access(thread, line, is_store, is_ifetch, spec_fill=True)
             else:
+                # the logged footprint (its L1, then the L2) always spans
+                # both levels, not just the ones the lookup consulted: the
+                # hierarchy is inclusive, so a commit must be able to
+                # repair an L2 copy torn down by a sibling window's squash
+                # even when the access hit at L1, and a squash must purge
+                # the L2 copy likewise
+                access = _new_record(AccessRecord, (line, L1I if is_ifetch else L1D, is_store))
                 delayed = self._inflight_access(thread, window, line, is_store, is_ifetch)[1]
-                if delayed is None:
-                    # the logged footprint (its L1, then the L2) always
-                    # spans both levels, not just the ones the lookup
-                    # consulted: the hierarchy is inclusive, so a commit
-                    # must be able to repair an L2 copy torn down by a
-                    # sibling window's squash even when the access hit at
-                    # L1, and a squash must purge the L2 copy likewise
-                    l1_id = L1I if is_ifetch else L1D
-                    rec.ops.append((OP_ACCESS, _new_record(AccessRecord, (line, l1_id, is_store))))
-                else:
-                    rec.ops.append((OP_DELAYED, delayed))
+                rec.ops.append((OP_DELAYED if delayed else OP_ACCESS, access))
         elif kind is OPEN:
             self.windows.open(window, thread)
-        elif kind is COMMIT:
-            self._resolve(window, NOTE_COMMIT)
-        elif kind is SQUASH:
-            self._resolve(window, NOTE_SQUASH)
+        elif kind is COMMIT or kind is SQUASH:
+            self._resolve(window, kind is COMMIT)
         elif kind is PREFETCH:
             self._prefetch_line(line, thread)
         elif kind is TLBMISS_LOAD:

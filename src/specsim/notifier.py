@@ -9,18 +9,23 @@ Two pieces live here:
    fills, delayed coherence transitions).  Resolution walks this log;
    the registry holds only the logs of open windows.
  * :class:`NotificationBuffer` — a small merge buffer between the core
-   and the caches.  Notifications for the same (window, line, level,
-   kind) merge; distinct windows never merge.  On overflow the oldest
-   entry is forced out first, so nothing is ever lost, only forwarded
-   early.  A zero-capacity buffer degenerates to immediate forwarding.
+   and the caches.  Notes for the same (line, level) merge; on overflow
+   the oldest entry is forced out first, so nothing is ever lost, only
+   forwarded early.  A zero-capacity buffer degenerates to immediate
+   forwarding.
 
-Delivery order inside one window is the order the buffer drains: FIFO,
-with each access offering its L1 entry before its L2 entry.
+A note is an :class:`AccessRecord`: a line, the level it resolves at,
+and whether a store wrote it.  The window log keeps each access as its
+L1 record, and resolving the window offers that record as the access's
+L1 note, then the same line at the L2.  A note names no window, thread
+or commit/squash kind: the engine fills the buffer only while it walks
+one window's log and drains it before the walk ends, so every entry
+belongs to the window being resolved and shares its fate.  Delivery
+order inside one window is the order the buffer drains: FIFO, with each
+access offering its L1 note before its L2 note.
 
-The per-access and per-note records (:class:`AccessRecord`,
-:class:`Notification`) are ``NamedTuple``s: immutable, hashable and
-equal by value, and a tuple's cost to build; a store folding into a
-load note replaces the entry with ``_replace``.
+An :class:`AccessRecord` is a ``NamedTuple``: immutable, hashable and
+equal by value, and a tuple's cost to build.
 """
 
 from __future__ import annotations
@@ -43,30 +48,22 @@ class WindowClosed(ValueError):
 class OpKind(IntEnum):
     """What a window-log entry records."""
 
-    ACCESS = 0   # an in-flight access (AccessRecord)
+    ACCESS = 0   # an in-flight access (its AccessRecord)
     MGMT = 1     # a stalled cache-management op
     TLB = 2      # a deferred page-walk fill
-    DELAYED = 3  # an access held by the coherence delay
+    DELAYED = 3  # an access held by the coherence delay (its AccessRecord)
 
 
 OP_ACCESS, OP_MGMT, OP_TLB, OP_DELAYED = OpKind
 
 
-class NotifKind(IntEnum):
-    # an IntEnum hashes as a plain int: the NFB hashes a kind on every offer
-    COMMIT = 0
-    SQUASH = 1
+class AccessRecord(NamedTuple):
+    """One access of a window: its line, the level its note resolves
+    (the access's L1 as logged, the L2 for the second note) and whether
+    it stores."""
 
-
-NOTE_COMMIT, NOTE_SQUASH = NotifKind
-
-
-class Notification(NamedTuple):
-    window: int
-    thread: int
     line: int
     level: LevelId
-    kind: NotifKind
     is_store: bool = False
 
 
@@ -77,27 +74,28 @@ class NotificationBuffer:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, Notification] = OrderedDict()
+        self._entries: OrderedDict[tuple, AccessRecord] = OrderedDict()
         self.merged = 0
         self.forced_out = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def offer(self, note: Notification) -> list[Notification]:
-        """Queue a notification; returns any entries forced out now."""
+    def offer(self, note: AccessRecord) -> list[AccessRecord]:
+        """Queue a note; returns any entries forced out now."""
         if self.capacity == 0:
             return [note]
-        key = (note.window, note.line, note.level, note.kind)
+        key = (note.line, note.level)
         if key in self._entries:
-            old = self._entries[key]
-            if note.is_store and not old.is_store:
-                # a store folding into a load note must keep its
-                # write intent, or the commit walk would lose it
-                self._entries[key] = old._replace(is_store=True)
+            if note.is_store:
+                # a store folding into a load note must keep its write
+                # intent, or the commit walk would lose it; with the
+                # entry's line and level, the store note is the merged
+                # entry (an OrderedDict store keeps the entry's place)
+                self._entries[key] = note
             self.merged += 1
             return []
-        out: list[Notification] = []
+        out: list[AccessRecord] = []
         if len(self._entries) >= self.capacity:
             _, oldest = self._entries.popitem(last=False)
             out.append(oldest)
@@ -115,26 +113,18 @@ class NotificationBuffer:
         if self.capacity and count > self.capacity:
             self.forced_out += count - self.capacity
 
-    def drain(self) -> list[Notification]:
+    def drain(self) -> list[AccessRecord]:
         out = list(self._entries.values())
         self._entries.clear()
         return out
 
 
-class AccessRecord(NamedTuple):
-    """One in-flight access.  Its committed footprint is its L1 (`l1`)
-    and then the L2, even when the lookup hit at L1."""
-
-    line: int
-    l1: LevelId
-    is_store: bool = False
-
-
 class WindowRecord:
     """An open window: its thread and its program-ordered log of
-    (OpKind, payload).  An ACCESS payload is an AccessRecord; the others
-    are opaque to this module and executed by the engine at commit.
-    Every op is logged by appending to `ops`."""
+    (OpKind, payload).  An ACCESS or DELAYED payload is the access's
+    AccessRecord at its L1; the others are opaque to this module and
+    executed by the engine at commit.  Every op is logged by appending
+    to `ops`."""
 
     __slots__ = ("thread", "ops", "__weakref__")
     thread: int

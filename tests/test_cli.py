@@ -180,6 +180,37 @@ def test_non_integer_level_value_is_a_config_error(tmp_path, capsys, section, ke
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[sim]\njunk = 3\n", "sim: unknown key 'junk'"),
+    ("[l2]\nway = 4\n", "l2: unknown key 'way'"),
+    ("[l2]\nways = 4\n[l3]\nways = 4\n", "l3: unknown section"),
+    ("[l3]\n", "l3: unknown section"),
+], ids=["sim-key", "level-key", "section", "empty-section"])
+def test_unknown_ini_section_or_key_is_a_config_error(tmp_path, capsys, text, message):
+    """A misspelt key or section is an error line, not a silent default."""
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(str(ini))
+    trace = tmp_path / "t.trace"
+    trace.write_text("MEASURE t0 0x1000\n")
+    assert main(["run", str(trace), "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_ini_default_keys_are_not_unknown_where_inherited(tmp_path):
+    """configparser copies `[DEFAULT]` keys into every section: a level
+    key there sets the level, and `[sim]` or `[latency]` do not reject it."""
+    ini = tmp_path / "default.ini"
+    ini.write_text("[DEFAULT]\nways = 4\n[sim]\ncores = 3\n[l2]\ncap_t = 1\n"
+                   "[latency]\nmemory = 250\n")
+    cfg = load_config(str(ini))
+    assert (cfg.cores, cfg.latency.memory) == (3, 250)
+    assert (cfg.l2.ways, cfg.l2.cap_t) == (4, 1)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["poc", "--secret", "300"], "error: secret 300 out of range 0..255\n"),
     (["poc", "--secret", "256"], "error: secret 256 out of range 0..255\n"),

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from specsim.cache import LevelId
 from specsim.notifier import (
-    Notification,
+    AccessRecord,
     NotificationBuffer,
-    NotifKind,
     UnknownWindow,
     WindowClosed,
     WindowRegistry,
 )
 
 
-def note(window=1, line=4, level=LevelId.L1D, kind=NotifKind.COMMIT, thread=0):
-    return Notification(window, thread, line, level, kind, is_store=False)
+def note(line=4, level=LevelId.L1D, is_store=False):
+    return AccessRecord(line, level, is_store)
 
 
 def test_same_key_merges():
@@ -32,19 +31,12 @@ def test_same_key_merges():
     assert buf.merged == 1
 
 
-def test_distinct_windows_do_not_merge():
+def test_distinct_levels_do_not_merge():
     buf = NotificationBuffer(4)
-    buf.offer(note(window=1))
-    buf.offer(note(window=2))
+    buf.offer(note(level=LevelId.L1D))
+    buf.offer(note(level=LevelId.L2))
     assert len(buf) == 2
     assert buf.merged == 0
-
-
-def test_distinct_kinds_do_not_merge():
-    buf = NotificationBuffer(4)
-    buf.offer(note(kind=NotifKind.COMMIT))
-    buf.offer(note(kind=NotifKind.SQUASH))
-    assert len(buf) == 2
 
 
 def test_store_note_merging_with_a_load_note_keeps_its_write_intent():
@@ -52,7 +44,7 @@ def test_store_note_merging_with_a_load_note_keeps_its_write_intent():
     entry that keeps the store's write intent, in either order, and
     the entry keeps its place in the FIFO."""
     load = note(line=4)
-    store = Notification(1, 0, 4, LevelId.L1D, NotifKind.COMMIT, is_store=True)
+    store = note(line=4, is_store=True)
     for first, second in ((load, store), (store, load)):
         buf = NotificationBuffer(4)
         buf.offer(first)
@@ -117,8 +109,8 @@ def test_drain_is_fifo_and_empties():
     assert buf.drain() == []
 
 
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 5),
-                          st.sampled_from([NotifKind.COMMIT, NotifKind.SQUASH])),
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([LevelId.L1D, LevelId.L2]),
+                          st.booleans()),
                 max_size=60))
 @settings(max_examples=200)
 def test_occupancy_never_exceeds_capacity_and_nothing_is_lost(entries):
@@ -126,8 +118,8 @@ def test_occupancy_never_exceeds_capacity_and_nothing_is_lost(entries):
     existing entry, or came back out through forcing; nothing vanishes."""
     buf = NotificationBuffer(4)
     forced_total = 0
-    for window, line, kind in entries:
-        forced_total += len(buf.offer(note(window=window, line=line, kind=kind)))
+    for line, level, is_store in entries:
+        forced_total += len(buf.offer(note(line, level, is_store)))
         assert len(buf) <= 4
     assert forced_total + len(buf) + buf.merged == len(entries)
 

@@ -1,12 +1,13 @@
 """The per-event records and the directory's grants.
 
 The records an engine builds once per event (trace events, probe
-observations, notifications, access logs, delayed ops, parked fills)
-are tuples that keep the semantics of the frozen dataclasses they
-replaced; the directory's grants are plain values, a coherence state
-or a core mask, so no decision builds an object.  The last tests are
-counts that host noise cannot move: while the engine steps, it builds
-no frozen dataclass and hashes no plain enum.
+observations, access records, which are both the window log's entries
+and the notification buffer's notes, and parked fills) are tuples that
+keep the semantics of the frozen dataclasses they replaced; the
+directory's grants are plain values, a coherence state or a core mask,
+so no decision builds an object.  The last tests are counts that host
+noise cannot move: while the engine steps, it builds no frozen
+dataclass and hashes no plain enum.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import pytest
 
 import specsim
 from specsim.cache import ADDR_MASK, LINE_SIZE, CacheGeometry, CohState, LevelId
-from specsim.coherence import DelayedOp, Directory
+from specsim.coherence import Directory
 from specsim.domains import CacheLevel
 from specsim.engine import Engine, LatencyClass, TimingObservation, _Pending
-from specsim.notifier import AccessRecord, Notification, NotifKind
+from specsim.notifier import AccessRecord
 from specsim.trace import EventKind, TraceEvent, TraceParseError
 
 from conftest import small_config
@@ -37,9 +38,7 @@ _LEVEL = CacheLevel(CacheGeometry(LevelId.L1D, 1, 2), 1, 1)
 RECORDS = [
     (TraceEvent, dict(kind=EventKind.LOAD, thread=1, addr=0x40, window=2, mgmt_op=None)),
     (TimingObservation, dict(index=3, thread=1, addr=0x40, latency=9, klass=LatencyClass.HIT)),
-    (Notification, dict(window=1, thread=0, line=4, level=LevelId.L1D, kind=NotifKind.COMMIT, is_store=True)),
-    (AccessRecord, dict(line=4, l1=LevelId.L1I, is_store=True)),
-    (DelayedOp, dict(thread=1, line=4, is_store=True, is_ifetch=False)),
+    (AccessRecord, dict(line=4, level=LevelId.L1I, is_store=True)),
     (_Pending, dict(level=_LEVEL, core=0, thread=1, window=2, line=4, is_store=False)),
 ]
 
@@ -62,9 +61,7 @@ def test_record_is_immutable_and_equal_by_value(cls, fields):
 
 def test_record_defaults_are_unchanged():
     assert TraceEvent(EventKind.BARRIER) == (EventKind.BARRIER, 0, None, None, None)
-    assert Notification(1, 0, 4, LevelId.L2, NotifKind.SQUASH).is_store is False
     assert AccessRecord(4, LevelId.L1D).is_store is False
-    assert DelayedOp(0, 4) == (0, 4, False, False)
 
 
 @pytest.mark.parametrize("addr", [0, 0x40, 0x7F, 0x1_0000_0040, 2**64 - 1, 2**64, 2**64 + 0x80])
